@@ -29,7 +29,7 @@ import numpy as np
 
 from sawt_qap import _kernels as K
 from sawt_qap.core import generate_instance
-from sawt_qap.solvers import default_tenure
+from sawt_qap.solvers import BRUTE_FORCE_MAX_N, default_tenure
 
 
 def _time(fn, repeats: int) -> float:
@@ -68,7 +68,7 @@ def bench_one(n: int, tabu_steps: int, repeats: int, rng: np.random.Generator) -
         ("tabu", lambda f: f(flow, distance, sigma, tabu_steps, tenure, True)[1],
          K.tabu_numba, K.tabu_numpy),
     ]
-    if n <= 9:
+    if n <= BRUTE_FORCE_MAX_N:
         cases.append(
             ("brute_force", lambda f: f(flow, distance, np.inf)[1],
              K.brute_force_numba, K.brute_force_numpy)

@@ -19,11 +19,21 @@ Conventions shared by all kernels:
 * The objective is ``sum_{i,j} flow[i, j] * distance[sigma[i], sigma[j]]``.
 * A "swap (i, j)" exchanges the locations of facilities ``i`` and ``j``.
 * No symmetry is assumed anywhere: deltas use the general asymmetric update.
+
+Exact search differs in method between the flavors but not in its answer.
+The loop flavor is a lexicographic depth-first search with partial-cost
+pruning; the numpy flavor is a depth-first branch and bound over blocks of
+partial assignments, seeded by a short tabu run and pruned with a
+Gilmore–Lawler-style bound (see :func:`brute_force_numpy`).  Both need
+non-negative ``flow`` and ``distance`` and return, among the minimum-cost
+permutations, the lexicographically smallest.  The numpy flavor makes that
+tie rule independent of summation order: it keeps every leaf within a
+relative ``1e-9`` of the incumbent, scores each with one batched ``einsum``
+and compares those scores exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 
 import numpy as np
@@ -336,27 +346,116 @@ def tabu_numpy(flow, distance, sigma, max_steps, tenure, aspiration):
     return best, best_cost, current, current_cost, history
 
 
-def brute_force_numpy(flow, distance, init_bound=np.inf, chunk=8192):
-    """Exact search by chunked vectorized enumeration in lexicographic order."""
+# Exact search keeps every leaf within this relative distance of the incumbent,
+# so summation-order rounding can never prune a true tie.
+_TIE_RTOL = 1e-9
+# Float64 entries of the widest bound array one block expansion may build.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _perm_costs(flow, distance, perms):
+    """Objective of each row of a (k, n) permutation block, one batched einsum.
+
+    A row's value does not depend on the other rows in the block, so every
+    permutation gets the same cost bits wherever it is scored.
+    """
+    return np.einsum("ij,kij->k", flow, distance[perms[:, :, None], perms[:, None, :]])
+
+
+def brute_force_numpy(flow, distance, init_bound=np.inf):
+    """Exact search by depth-first, block-vectorized branch and bound.
+
+    Requires ``flow >= 0`` and ``distance >= 0`` element-wise (``QapInstance``
+    enforces it); the bound below is admissible only then.
+
+    * Incumbent: a short :func:`tabu_numpy` run from the identity sets the
+      starting upper bound (``init_bound`` when that is lower).
+    * Facilities are placed heaviest total flow (row plus column sum) first.
+    * Bound of a partial assignment: its cost so far plus, for every unplaced
+      facility, the cheapest free location for it counting only its own
+      diagonal term and its interactions with the placed facilities (a
+      Gilmore–Lawler-style relaxation that drops the unplaced-pair terms and
+      the all-different constraint).
+    * Blocks of nodes are expanded depth-first, each expansion building at
+      most about ``_BLOCK_ENTRIES`` bound entries, so memory stays bounded by
+      the tree depth times that block size.
+    * Tie rule: a node is pruned only when its bound exceeds the incumbent by
+      more than a relative ``_TIE_RTOL``.  Every surviving leaf is re-scored
+      with :func:`_perm_costs`; the result is the lexicographically smallest
+      permutation with the exact minimum of those scores.  That is the
+      permutation a full enumeration in lexicographic order would return.
+
+    As with the loop flavour, only costs strictly below ``init_bound`` count:
+    when none exists the result is ``(identity, init_bound)``.  Returns
+    ``(perm, cost, leaves)`` with ``leaves`` the number of leaves scored.
+    """
     n = flow.shape[0]
+    if np.any(flow < 0) or np.any(distance < 0):
+        raise ValueError("exact search needs non-negative flow and distance")
     best = float(init_bound)
     best_perm = np.arange(n)
     found = False
-    it = itertools.permutations(range(n))
-    while True:
-        block = np.array(list(itertools.islice(it, chunk)), dtype=np.int64)
-        if block.size == 0:
-            break
-        gathered = distance[block[:, :, None], block[:, None, :]]
-        costs = np.einsum("ij,kij->k", flow, gathered)
-        k = int(np.argmin(costs))
-        if costs[k] < best:
-            best = float(costs[k])
-            best_perm = block[k].copy()
-            found = True
+    leaves = 0
+    if n == 0:
+        return best_perm, (0.0 if 0.0 < best else best), 0
+    upper = best
+    if n >= 2:
+        incumbent = tabu_numpy(flow, distance, np.arange(n), 10 * n, max(1, n // 2), True)[0]
+        upper = min(upper, float(_perm_costs(flow, distance, incumbent[None])[0]))
+    order = np.argsort(-(flow.sum(axis=0) + flow.sum(axis=1)), kind="stable")
+    # step[d][l, v, l2]: what placing facility order[d] at location l adds to
+    # the cost of putting the later facility order[d + 1 + v] at location l2.
+    step = []
+    for d in range(n):
+        u, rest = order[d], order[d + 1 :]
+        step.append(
+            flow[u, rest][None, :, None] * distance[:, None, :]
+            + flow[rest, u][None, :, None] * distance.T[:, None, :]
+        )
+    eye = np.eye(n, dtype=bool)
+    # A block of nodes at depth d: locations of order[:d], cost so far, used
+    # locations, and for each unplaced facility order[d:] the cost of each
+    # location given the placed ones.
+    root_cost = np.diag(flow)[order][:, None] * np.diag(distance)[None, :]
+    stack = [(0, np.zeros((1, 0), np.int64), np.zeros(1), np.zeros((1, n), bool),
+              root_cost[None])]
+    while stack:
+        d, locs, partial, used, place = stack.pop()
+        # Each child holds at most n * n entries (bound terms or leaf gather).
+        cap = max(1, _BLOCK_ENTRIES // ((n - d) * n * n))
+        if len(partial) > cap:
+            stack.append((d, locs[cap:], partial[cap:], used[cap:], place[cap:]))
+            locs, partial, used, place = locs[:cap], partial[:cap], used[:cap], place[:cap]
+        thresh = upper + _TIE_RTOL * abs(upper)
+        child_cost = partial[:, None] + place[:, 0, :]
+        rows, cols = np.nonzero(~used & (child_cost <= thresh))
+        if rows.size == 0:
+            continue
+        child_locs = np.concatenate([locs[rows], cols[:, None]], axis=1)
+        child_cost = child_cost[rows, cols]
+        if d == n - 1:
+            perms = np.empty_like(child_locs)
+            perms[:, order] = child_locs
+            costs = _perm_costs(flow, distance, perms)
+            leaves += len(costs)
+            low = float(costs.min())
+            if low < best or (found and low == best):
+                ties = perms[costs == low]
+                cand = ties[np.lexsort(ties.T[::-1])[0]]
+                if low < best or cand.tolist() < best_perm.tolist():
+                    best, best_perm, found = low, cand, True
+                    upper = min(upper, best)
+            continue
+        child_used = used[rows] | eye[cols]
+        child_place = place[rows, 1:, :] + step[d][cols]
+        free_min = np.where(child_used[:, None, :], np.inf, child_place).min(axis=2)
+        keep = child_cost + free_min.sum(axis=1) <= thresh
+        if keep.any():
+            stack.append((d + 1, child_locs[keep], child_cost[keep], child_used[keep],
+                          child_place[keep]))
     if not found and not np.isfinite(init_bound):
         raise ValueError("empty search space")
-    return best_perm, best, 0
+    return best_perm, best, leaves
 
 
 # ---------------------------------------------------------------------------
@@ -401,5 +500,10 @@ else:
 
 
 def brute_force(flow, distance, init_bound=np.inf):
-    """Dispatch to the active exact-search kernel; returns (perm, cost, leaves)."""
+    """Dispatch to the active exact-search kernel; returns (perm, cost, leaves).
+
+    ``perm`` is the lexicographically smallest minimum-cost permutation; when
+    no cost is strictly below ``init_bound`` it is the identity and ``cost`` is
+    ``init_bound``.
+    """
     return _brute(flow, distance, init_bound)

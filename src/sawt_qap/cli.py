@@ -12,8 +12,11 @@ Output conventions:
 * ``results.csv`` — deterministic result rows (no timings); byte-stable
   across reruns with the same arguments on one platform.
 * ``results.jsonl`` — the same rows plus volatile fields (``wall_ms``,
-  optional cost trajectories).
-* ``metrics.jsonl`` — training only, one JSON line per epoch.
+  optional cost trajectories).  ``sawt`` rows are searched in batches: their
+  ``wall_ms`` is the measured time of the row's batch, ``batch_size`` its size.
+* ``metrics.jsonl`` — training only, one JSON line per epoch (volatile: it
+  carries ``wall_ms``).
+* ``policy.ckpt`` — training only; deterministic, so ``rerun`` compares it.
 
 Exit codes: 0 success, 2 usage error, 3 data/validation error, 4 numerical
 abort.
@@ -297,17 +300,18 @@ def cmd_solve(args) -> int:
         if not args.checkpoint:
             raise ValidationError("--checkpoint is required for solver 'sawt'")
         policy, _, _ = load_policy(args.checkpoint)
-        t0 = time.perf_counter()
         res = evaluate(policy, instances, steps=args.steps, seed=args.seed)
-        wall_ms = int((time.perf_counter() - t0) * 1000)
-        partials = [
-            {
-                "best_cost": float(res.best_costs[i]),
-                "sigma": res.best_sigmas[i].tolist(),
-                "wall_ms": wall_ms // max(1, len(instances)),
-            }
-            for i in range(len(instances))
-        ]
+        partials = [None] * len(instances)
+        # Instances are searched in batches, so each row reports the measured
+        # wall time of its whole batch and that batch's size.
+        for idxs, wall_s in res.batches:
+            for i in idxs:
+                partials[i] = {
+                    "best_cost": float(res.best_costs[i]),
+                    "sigma": res.best_sigmas[i].tolist(),
+                    "wall_ms": int(wall_s * 1000),
+                    "batch_size": len(idxs),
+                }
     else:
         def work(item):
             idx, inst = item
@@ -356,8 +360,9 @@ def cmd_solve(args) -> int:
         row_jsonl = dict(row)
         row_jsonl["wall_ms"] = part["wall_ms"]
         row_jsonl["sigma"] = part["sigma"]
-        if "trajectory" in part:
-            row_jsonl["trajectory"] = part["trajectory"]
+        for key in ("batch_size", "trajectory"):
+            if key in part:
+                row_jsonl[key] = part[key]
         rows.append(row)
         jsonl_rows.append(row_jsonl)
 
@@ -483,7 +488,7 @@ def cmd_train(args) -> int:
     }
     _write_manifest(
         run_dir, args, "train", config, started,
-        deterministic=[], volatile=["metrics.jsonl", "policy.ckpt"],
+        deterministic=["policy.ckpt"], volatile=["metrics.jsonl"],
     )
     print(f"trained {len(result.history)} epochs; checkpoint at {ckpt_path}")
     return 0
@@ -706,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="run a solver over instance files",
         description="Solve instances (.json from `generate` or QAPLIB .dat). "
                     "Writes results.csv (deterministic) and results.jsonl "
-                    "(adds wall_ms/sigma/trajectory).",
+                    "(adds wall_ms/sigma/trajectory, and batch_size for sawt).",
     )
     p.add_argument("--instances", nargs="+", required=True,
                    help="instance files and/or directories")

@@ -289,12 +289,17 @@ def reinforce_update(
 
 @dataclass
 class EvalResult:
-    """Best costs found per instance within the evaluation swap budget."""
+    """Best costs found per instance within the evaluation swap budget.
+
+    ``batches`` lists, in run order, each batch's instance indices and its
+    measured wall time in seconds (embedding plus search).
+    """
 
     best_costs: np.ndarray  # (N,)
     best_sigmas: list  # N arrays
     mean_cost: float
     steps: int
+    batches: list = field(default_factory=list)  # (indices, wall_s) pairs
 
 
 def _buckets(instances) -> list[list[int]]:
@@ -325,10 +330,12 @@ def evaluate(
     rng = make_rng(seed)
     best_costs = np.zeros(len(instances), dtype=np.float64)
     best_sigmas: list = [None] * len(instances)
+    batches = []
     with nn.no_grad():
         for bucket in _buckets(instances):
             for lo in range(0, len(bucket), batch_size):
                 idxs = bucket[lo : lo + batch_size]
+                tic = time.perf_counter()
                 batch = policy.embed_instances([instances[i] for i in idxs], rng)
                 if steps == 0:
                     final = reset_state(batch, init=init, rng=rng)
@@ -336,10 +343,11 @@ def evaluate(
                     final = collect_rollouts(
                         policy, batch, steps, rng, init=init, greedy=greedy
                     ).final_state
+                batches.append((idxs, time.perf_counter() - tic))
                 for pos, idx in enumerate(idxs):
                     best_costs[idx] = final.best_cost[pos]
                     best_sigmas[idx] = final.best_sigma[pos].copy()
-    return EvalResult(best_costs, best_sigmas, float(best_costs.mean()), steps)
+    return EvalResult(best_costs, best_sigmas, float(best_costs.mean()), steps, batches)
 
 
 @dataclass

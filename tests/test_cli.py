@@ -296,6 +296,25 @@ def test_solve_sawt_and_zero_steps(trained, gen_dir, tmp_path):
         assert float(row["best_cost"]) == pytest.approx(identity_cost, rel=1e-6)
 
 
+def test_solve_sawt_rows_report_their_batch(trained, tmp_path):
+    run, _ = trained
+    dirs = []
+    for n, count in ((5, 2), (6, 1)):
+        d = tmp_path / f"gen{n}"
+        assert main(["generate", "--n", str(n), "--count", str(count), "--seed", "41",
+                     "--out", str(d)]) == 0
+        dirs.append(str(d))
+    out = tmp_path / "sawt"
+    assert main(["solve", "--instances", *dirs, "--solver", "sawt",
+                 "--checkpoint", str(run / "policy.ckpt"), "--steps", "5",
+                 "--reference", "none", "--out", str(out)]) == 0
+    rows = read_jsonl(out / "results.jsonl")
+    assert [r["batch_size"] for r in rows] == [2, 2, 1]
+    assert rows[0]["wall_ms"] == rows[1]["wall_ms"]
+    assert all(isinstance(r["wall_ms"], int) and r["wall_ms"] >= 0 for r in rows)
+    assert "batch_size" not in (out / "results.csv").read_text()
+
+
 # ---------------------------------------------------------------------------
 # qaplib fetch / bench
 # ---------------------------------------------------------------------------
@@ -383,6 +402,15 @@ def test_rerun_solve_bit_identical(gen_dir, tmp_path, capsys):
     assert main(["rerun", str(out / "manifest.json"), "--out", str(rerun_out)]) == 0
     assert "bit-identically" in capsys.readouterr().out
     assert (out / "results.csv").read_bytes() == (rerun_out / "results.csv").read_bytes()
+
+
+def test_rerun_train_reproduces_checkpoint(trained, tmp_path, capsys):
+    out, _ = trained
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == {"deterministic": ["policy.ckpt"],
+                                   "volatile": ["metrics.jsonl"]}
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "again")]) == 0
+    assert "reproduced 1 deterministic output file(s)" in capsys.readouterr().out
 
 
 def test_rerun_detects_tampering(gen_dir, tmp_path, capsys):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sawt_qap import _kernels as K
-from helpers import random_asymmetric_instance, random_integer_instance
+from sawt_qap.core import generate_instance
+from helpers import exhaustive_best, random_asymmetric_instance, random_integer_instance
 
 needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba unavailable")
 
@@ -61,6 +62,74 @@ class TestBackendAgreement:
         p_np, c_np, _ = K.brute_force_numpy(inst.flow, inst.distance)
         assert np.array_equal(p_nb, p_np)
         assert c_nb == pytest.approx(c_np, rel=1e-12)
+
+
+def _exact_cases(rng):
+    """Float, asymmetric and integer tie-heavy instances, n = 2..7."""
+    for n in range(2, 8):
+        yield generate_instance(n, p=0.5, seed=700 + n)
+        yield random_asymmetric_instance(rng, n)
+        yield random_integer_instance(rng, n, high=1)
+        yield random_integer_instance(rng, n, high=3)
+
+
+class TestExactSearchNumpy:
+    """The numpy branch and bound against enumeration and the loop flavour
+    run as plain Python (no numba needed)."""
+
+    def test_matches_enumeration_and_loop(self, rng):
+        for inst in _exact_cases(rng):
+            perm, cost, _ = K.brute_force_numpy(inst.flow, inst.distance)
+            ref_perm, ref_cost = exhaustive_best(inst.flow, inst.distance)
+            loop_perm, loop_cost, _ = K._brute_force_loop(inst.flow, inst.distance, np.inf)
+            assert np.array_equal(perm, ref_perm), inst.name
+            assert np.array_equal(perm, loop_perm), inst.name
+            assert cost == pytest.approx(ref_cost, rel=1e-12)
+            assert cost == pytest.approx(loop_cost, rel=1e-12)
+
+    def test_integer_ties_exact(self, rng):
+        # Integer data makes every summation order exact, so the costs agree
+        # to the bit and the lexicographic tie rule decides the permutation.
+        for n in range(2, 8):
+            inst = random_integer_instance(rng, n, high=1)
+            perm, cost, _ = K.brute_force_numpy(inst.flow, inst.distance)
+            loop_perm, loop_cost, _ = K._brute_force_loop(inst.flow, inst.distance, np.inf)
+            assert np.array_equal(perm, loop_perm)
+            assert cost == loop_cost
+
+    def test_tie_rule_across_blocks(self, rng, monkeypatch):
+        # One node per block: tied leaves are scored in many separate blocks,
+        # met in heaviest-flow-first order rather than lexicographic order.
+        monkeypatch.setattr(K, "_BLOCK_ENTRIES", 1)
+        for n in range(3, 8):
+            inst = random_integer_instance(rng, n, high=1)
+            perm, cost, _ = K.brute_force_numpy(inst.flow, inst.distance)
+            loop_perm, loop_cost, _ = K._brute_force_loop(inst.flow, inst.distance, np.inf)
+            assert np.array_equal(perm, loop_perm)
+            assert cost == loop_cost
+
+    def test_init_bound_contract(self, rng):
+        for n in (4, 6, 7):
+            inst = random_integer_instance(rng, n)
+            perm, opt, _ = K.brute_force_numpy(inst.flow, inst.distance)
+            for bound in (opt, opt - 1.0):
+                got_perm, got, _ = K.brute_force_numpy(inst.flow, inst.distance, bound)
+                assert np.array_equal(got_perm, np.arange(n))
+                assert got == bound
+            got_perm, got, _ = K.brute_force_numpy(inst.flow, inst.distance, opt + 0.5)
+            assert np.array_equal(got_perm, perm)
+            assert got == opt
+
+    def test_rejects_negative_entries(self):
+        flow = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError):
+            K.brute_force_numpy(flow, np.ones((2, 2)))
+
+    def test_tiny_sizes(self):
+        perm, cost, _ = K.brute_force_numpy(np.zeros((0, 0)), np.zeros((0, 0)))
+        assert perm.shape == (0,) and cost == 0.0
+        perm, cost, _ = K.brute_force_numpy(np.full((1, 1), 2.0), np.full((1, 1), 3.0))
+        assert np.array_equal(perm, [0]) and cost == 6.0
 
 
 def test_env_flag_selects_backend():

@@ -226,6 +226,9 @@ def test_evaluate_mixed_sizes(policy):
     assert res.best_costs.shape == (3,)
     assert res.best_sigmas[0].shape == (4,)
     assert res.best_sigmas[1].shape == (5,)
+    # One timed batch per size bucket, covering every instance once.
+    assert [idxs for idxs, _ in res.batches] == [[0, 2], [1]]
+    assert all(wall_s > 0.0 for _, wall_s in res.batches)
 
 
 def test_train_smoke_and_metrics_file(tmp_path):
