@@ -9,7 +9,8 @@ The active default is chosen at import time by the ``SAWT_QAP_NUMBA``
 environment variable: unset or ``"1"`` selects numba when it is importable,
 ``"0"`` forces the numpy path.  Both flavors are always exported (``*_numba``
 may be ``None`` when numba is unavailable) so tests and benchmarks can compare
-them directly; ``benchmarks/kernel_bench.py`` does exactly that.
+them directly; ``benchmarks/kernel_bench.py`` does exactly that.  Without
+numba the tests run the ``_*_loop`` sources as plain Python instead.
 
 Conventions shared by all kernels:
 
@@ -182,6 +183,8 @@ def _brute_force_loop(flow, distance, init_bound):
     mean nothing beat the bound.
     """
     n = flow.shape[0]
+    if n == 0:
+        return np.arange(0), (0.0 if 0.0 < init_bound else init_bound), 0
     perm = np.full(n, -1, dtype=np.int64)
     used = np.zeros(n, dtype=np.bool_)
     partial = np.zeros(n + 1, dtype=np.float64)

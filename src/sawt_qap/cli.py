@@ -16,7 +16,8 @@ Output conventions:
   ``wall_ms`` is the measured time of the row's batch, ``batch_size`` its size.
 * ``metrics.jsonl`` — training only, one JSON line per epoch (volatile: it
   carries ``wall_ms``).
-* ``policy.ckpt`` — training only; deterministic, so ``rerun`` compares it.
+* ``policy.ckpt``, ``policy_best.ckpt`` — training only; deterministic, so
+  ``rerun`` compares them (the best-eval checkpoint when the run wrote one).
 
 Exit codes: 0 success, 2 usage error, 3 data/validation error, 4 numerical
 abort.
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime
 import io
 import json
@@ -42,7 +42,6 @@ from .core import (
     QapInstance,
     gap as gap_of,
     generate_instance,
-    identity_assignment,
     instance_from_json,
     instance_to_json,
     objective,
@@ -71,6 +70,8 @@ MANIFEST_SCHEMA = 1
 _RESULT_COLUMNS = ("instance", "solver", "seed", "steps", "best_cost", "reference", "gap", "flag")
 
 SOLVERS = ("brute", "greedy", "tabu", "sm", "sawt")
+# Step budget of the tabu gap reference (``--reference auto`` beyond BRUTE_FORCE_MAX_N).
+_REFERENCE_STEPS = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +135,6 @@ def _write_manifest(
     (run_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-
-
-def _write_results(run_dir: Path, rows: list[dict], jsonl_rows: list[dict]) -> None:
-    """results.csv from the deterministic rows, results.jsonl from the full rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_RESULT_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row.get(col)) for col in _RESULT_COLUMNS])
-    (run_dir / "results.csv").write_text(buf.getvalue())
-    with open(run_dir / "results.jsonl", "w") as fh:
-        for row in jsonl_rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _print_summary(rows: list[dict]) -> None:
@@ -228,102 +216,73 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _reference_costs(instances: list[QapInstance], mode: str, threads: int) -> tuple[dict[int, float], str]:
-    """Reference cost per instance index, per the documented hierarchy.
+def _tabu_one(inst: QapInstance, steps: int, record_trajectory: bool):
+    cfg = TabuConfig(max_steps=steps)
+    if not record_trajectory:
+        return tabu_search(inst, config=cfg), None
+    sol, history = tabu_search(inst, config=cfg, return_history=True)
+    stride = max(1, len(history) // 100)
+    return sol, [float(h) for h in history[::stride]]
 
-    ``auto`` uses brute force up to n = BRUTE_FORCE_MAX_N and a seeded
-    5000-step tabu search beyond; ``brute``/``tabu`` force one method; a path
-    loads a JSON mapping of instance name to cost; ``none`` disables gaps.
+
+# Every solver in SOLVERS but ``sawt`` searches one instance at a time:
+# ``(instance, steps, record_trajectory) -> (best assignment, trajectory or None)``.
+# Each is deterministic: tabu starts from the identity and draws no random numbers.
+_PER_INSTANCE = {
+    "brute": lambda inst, steps, record: (brute_force(inst), None),
+    "greedy": lambda inst, steps, record: (greedy_descent(inst, max_steps=steps), None),
+    "tabu": _tabu_one,
+    "sm": lambda inst, steps, record: (spectral_matching(inst).assignment, None),
+}
+
+
+def _run_solver(name: str, instances: list[QapInstance], steps: int, *, threads: int = 1,
+                seed: int = 0, checkpoint: str | None = None,
+                record_trajectory: bool = False, fp64_check: bool = False) -> list[dict]:
+    """Run solver ``name`` over ``instances``; one result part per instance, in order.
+
+    A part holds ``best_cost``, ``sigma`` and ``wall_ms``, plus ``trajectory``
+    (tabu with ``record_trajectory``) or ``batch_size`` (sawt).  ``sawt`` is one
+    :func:`evaluate` call seeded with ``seed`` that searches same-size instances
+    in batches, so each part reports the measured time and size of its batch.
+    The other solvers run one instance per task across ``threads`` workers.
+    ``fp64_check`` re-verifies every best cost with a float64 objective
+    recomputation and raises :class:`NumericalAbortError` on a mismatch.
     """
-    if mode == "none":
-        return {}, "none"
-    if mode in ("auto", "brute", "tabu"):
-        def ref_one(item):
-            idx, inst = item
-            method = mode
-            if method == "auto":
-                method = "brute" if inst.n <= BRUTE_FORCE_MAX_N else "tabu"
-            if method == "brute":
-                return idx, brute_force(inst).cost
-            return idx, tabu_search(inst, config=TabuConfig(max_steps=5000, rng_seed=0)).cost
-
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            pairs = list(pool.map(ref_one, enumerate(instances)))
-        return dict(pairs), mode
-    table = json.loads(Path(mode).read_text())
-    refs = {}
-    for idx, inst in enumerate(instances):
-        if inst.name in table:
-            refs[idx] = float(table[inst.name])
-    return refs, mode
-
-
-def _solve_one(inst: QapInstance, solver: str, steps: int, seed: int,
-               record_trajectory: bool) -> dict:
-    t0 = time.perf_counter()
-    trajectory = None
-    if solver == "brute":
-        sol = brute_force(inst)
-    elif solver == "greedy":
-        sol = greedy_descent(inst, max_steps=steps)
-    elif solver == "tabu":
-        cfg = TabuConfig(max_steps=steps, rng_seed=seed)
-        if record_trajectory:
-            sol, history = tabu_search(inst, config=cfg, return_history=True)
-            stride = max(1, len(history) // 100)
-            trajectory = [float(h) for h in history[::stride]]
-        else:
-            sol = tabu_search(inst, config=cfg)
-    elif solver == "sm":
-        sol = spectral_matching(inst).assignment
-    else:  # pragma: no cover - guarded by argparse choices
-        raise ValidationError(f"unknown solver {solver!r}")
-    wall_ms = int((time.perf_counter() - t0) * 1000)
-    row = {
-        "best_cost": float(sol.cost),
-        "sigma": sol.sigma.tolist(),
-        "wall_ms": wall_ms,
-    }
-    if trajectory is not None:
-        row["trajectory"] = trajectory
-    return row
-
-
-def cmd_solve(args) -> int:
-    started = _utc_now()
-    paths = _collect_instance_paths(args.instances)
-    instances = [_load_instance_file(p) for p in paths]
-    run_dir = _prepare_run_dir(args.out)
-    seeds = _derive_seeds(args.seed, len(instances))
-
-    if args.solver == "sawt":
-        if not args.checkpoint:
+    if name == "sawt":
+        if not checkpoint:
             raise ValidationError("--checkpoint is required for solver 'sawt'")
-        policy, _, _ = load_policy(args.checkpoint)
-        res = evaluate(policy, instances, steps=args.steps, seed=args.seed)
-        partials = [None] * len(instances)
-        # Instances are searched in batches, so each row reports the measured
-        # wall time of its whole batch and that batch's size.
+        policy, _, _ = load_policy(checkpoint)
+        res = evaluate(policy, instances, steps=steps, seed=seed)
+        parts = [None] * len(instances)
         for idxs, wall_s in res.batches:
             for i in idxs:
-                partials[i] = {
+                parts[i] = {
                     "best_cost": float(res.best_costs[i]),
                     "sigma": res.best_sigmas[i].tolist(),
                     "wall_ms": int(wall_s * 1000),
                     "batch_size": len(idxs),
                 }
     else:
-        def work(item):
-            idx, inst = item
-            return idx, _solve_one(inst, args.solver, args.steps, seeds[idx],
-                                    args.record_trajectory)
+        solve_one = _PER_INSTANCE[name]
 
-        with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-            done = dict(pool.map(work, enumerate(instances)))
-        partials = [done[i] for i in range(len(instances))]
+        def work(inst):
+            t0 = time.perf_counter()
+            sol, trajectory = solve_one(inst, steps, record_trajectory)
+            part = {
+                "best_cost": float(sol.cost),
+                "sigma": sol.sigma.tolist(),
+                "wall_ms": int((time.perf_counter() - t0) * 1000),
+            }
+            if trajectory is not None:
+                part["trajectory"] = trajectory
+            return part
 
-    if args.fp64_check:
-        for inst, part in zip(instances, partials):
+        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+            parts = list(pool.map(work, instances))
+
+    if fp64_check:
+        for inst, part in zip(instances, parts):
             check = objective(inst, np.asarray(part["sigma"]))
             if not np.isclose(check, part["best_cost"], rtol=1e-9, atol=1e-9):
                 raise NumericalAbortError(
@@ -334,44 +293,109 @@ def cmd_solve(args) -> int:
                         "recomputed": float(check),
                     },
                 )
+    return parts
 
-    refs, ref_mode = _reference_costs(instances, args.reference, args.threads)
+
+def _reference_costs(instances: list[QapInstance], mode: str, threads: int,
+                     solver: str, steps: int, parts: list[dict]) -> list[float | None]:
+    """Reference cost per instance, ``None`` where there is none.
+
+    ``auto`` uses exact search up to n = BRUTE_FORCE_MAX_N and a 5000-step
+    tabu search beyond; ``brute``/``tabu`` force one method; a path loads a
+    JSON mapping of instance name to cost; ``none`` disables gaps.  The tabu
+    reference is the deterministic run from the identity assignment (tabu
+    reads no seed), so when ``solver`` already made the reference run, the
+    same method and for tabu the same ``steps``, its ``parts`` give the costs.
+    """
+    if mode == "none":
+        return [None] * len(instances)
+    if mode not in ("auto", "brute", "tabu"):
+        table = json.loads(Path(mode).read_text())
+        return [float(table[inst.name]) if inst.name in table else None for inst in instances]
+    methods = [("brute" if inst.n <= BRUTE_FORCE_MAX_N else "tabu") if mode == "auto" else mode
+               for inst in instances]
+    refs = [None] * len(instances)
+    for method in ("brute", "tabu"):
+        idxs = [i for i, m in enumerate(methods) if m == method]
+        if not idxs:
+            continue
+        # The solver's own run is the reference run (brute reads no steps).
+        if method == solver and (method == "brute" or steps == _REFERENCE_STEPS):
+            ref_parts = [parts[i] for i in idxs]
+        else:
+            ref_parts = _run_solver(method, [instances[i] for i in idxs], _REFERENCE_STEPS,
+                                    threads=threads)
+        for i, part in zip(idxs, ref_parts):
+            refs[i] = part["best_cost"]
+    return refs
+
+
+def _write_results(run_dir: Path, solver: str, steps: int, seed: int, names: list[str],
+                   parts: list[dict], refs: list[float | None],
+                   missing_flag: str, zero_flag: str) -> list[dict]:
+    """Write one row per instance to results.csv and results.jsonl; return the csv rows.
+
+    Row k reports ``parts[k]`` for instance ``names[k]`` against ``refs[k]``: a
+    row has a gap only when its reference is known and non-zero, otherwise its
+    ``flag`` reads ``missing_flag`` or ``zero_flag``.  ``seed`` is the master
+    seed; tabu rows report the per-instance seed split from it.  results.jsonl
+    adds each part's volatile fields (``wall_ms``, ``sigma``, ...).
+    """
+    seeds = _derive_seeds(seed, len(names)) if solver == "tabu" else [seed] * len(names)
     rows: list[dict] = []
-    jsonl_rows: list[dict] = []
-    for idx, (inst, part) in enumerate(zip(instances, partials)):
-        ref = refs.get(idx)
+    for name, part, ref, row_seed in zip(names, parts, refs, seeds):
         flag = ""
         gap_val = None
-        if ref is not None:
-            if ref == 0:
-                flag = "zero_reference"
-            else:
-                gap_val = gap_of(part["best_cost"], ref)
+        if ref is None:
+            flag = missing_flag
+        elif ref == 0:
+            flag = zero_flag
+        else:
+            gap_val = gap_of(part["best_cost"], ref)
         row = {
-            "instance": inst.name,
-            "solver": args.solver,
-            "seed": seeds[idx] if args.solver in ("tabu",) else args.seed,
-            "steps": args.steps,
+            "instance": name,
+            "solver": solver,
+            "seed": row_seed,
+            "steps": steps,
             "best_cost": part["best_cost"],
             "reference": ref,
             "gap": gap_val,
             "flag": flag,
         }
-        row_jsonl = dict(row)
-        row_jsonl["wall_ms"] = part["wall_ms"]
-        row_jsonl["sigma"] = part["sigma"]
-        for key in ("batch_size", "trajectory"):
-            if key in part:
-                row_jsonl[key] = part[key]
         rows.append(row)
-        jsonl_rows.append(row_jsonl)
 
-    _write_results(run_dir, rows, jsonl_rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_RESULT_COLUMNS)
+    for row in rows:
+        writer.writerow([_fmt(row.get(col)) for col in _RESULT_COLUMNS])
+    (run_dir / "results.csv").write_text(buf.getvalue())
+    with open(run_dir / "results.jsonl", "w") as fh:
+        for row, part in zip(rows, parts):
+            fh.write(json.dumps({**row, **part}, sort_keys=True) + "\n")
+    return rows
+
+
+def cmd_solve(args) -> int:
+    started = _utc_now()
+    paths = _collect_instance_paths(args.instances)
+    instances = [_load_instance_file(p) for p in paths]
+    run_dir = _prepare_run_dir(args.out)
+    parts = _run_solver(
+        args.solver, instances, args.steps, threads=args.threads, seed=args.seed,
+        checkpoint=args.checkpoint, record_trajectory=args.record_trajectory,
+        fp64_check=args.fp64_check,
+    )
+    refs = _reference_costs(instances, args.reference, args.threads,
+                            args.solver, args.steps, parts)
+    rows = _write_results(run_dir, args.solver, args.steps, args.seed,
+                          [inst.name for inst in instances], parts, refs,
+                          missing_flag="", zero_flag="zero_reference")
 
     config = {
         "solver": args.solver,
         "steps": args.steps,
-        "reference": ref_mode,
+        "reference": args.reference,
         "instances": [str(p) for p in paths],
         "checkpoint": args.checkpoint,
         "fp64_check": args.fp64_check,
@@ -486,9 +510,10 @@ def cmd_train(args) -> int:
         "resume": args.resume,
         "start_epoch": start_epoch,
     }
+    best = ["policy_best.ckpt"] if (run_dir / "policy_best.ckpt").is_file() else []
     _write_manifest(
         run_dir, args, "train", config, started,
-        deterministic=["policy.ckpt"], volatile=["metrics.jsonl"],
+        deterministic=["policy.ckpt", *best], volatile=["metrics.jsonl"],
     )
     print(f"trained {len(result.history)} epochs; checkpoint at {ckpt_path}")
     return 0
@@ -524,45 +549,12 @@ def cmd_qaplib_bench(args) -> int:
                 f"QAPLIB instance {name!r} is not available locally; run "
                 f"`sawt-qap qaplib fetch {name}` (and set SAWT_QAP_DATA_DIR) first"
             ) from None
-    seeds = _derive_seeds(args.seed, len(entries))
-
-    def work(item):
-        idx, entry = item
-        return idx, _solve_one(entry.instance, args.solver, args.steps, seeds[idx], False)
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        done = dict(pool.map(work, enumerate(entries)))
-
-    rows: list[dict] = []
-    jsonl_rows: list[dict] = []
-    for idx, entry in enumerate(entries):
-        part = done[idx]
-        bound = entry.upper_bound
-        flag = ""
-        gap_val = None
-        if bound is None:
-            flag = "no_bound"
-        elif bound == 0:
-            flag = "zero_bound"
-        else:
-            gap_val = gap_of(part["best_cost"], bound)
-        row = {
-            "instance": entry.name,
-            "solver": args.solver,
-            "seed": seeds[idx] if args.solver == "tabu" else args.seed,
-            "steps": args.steps,
-            "best_cost": part["best_cost"],
-            "reference": bound,
-            "gap": gap_val,
-            "flag": flag,
-        }
-        rows.append(row)
-        jr = dict(row)
-        jr["wall_ms"] = part["wall_ms"]
-        jr["sigma"] = part["sigma"]
-        jsonl_rows.append(jr)
-
-    _write_results(run_dir, rows, jsonl_rows)
+    parts = _run_solver(args.solver, [e.instance for e in entries], args.steps,
+                        threads=args.threads, fp64_check=args.fp64_check)
+    rows = _write_results(run_dir, args.solver, args.steps, args.seed,
+                          [e.name for e in entries], parts,
+                          [e.upper_bound for e in entries],
+                          missing_flag="no_bound", zero_flag="zero_bound")
 
     # Per-category mean/min/max over rows that have a usable gap.
     by_cat: dict[str, list[float]] = {}
@@ -609,10 +601,8 @@ def cmd_describe(args) -> int:
         desc = policy.describe()
         desc["meta"] = meta
     else:
-        model_kwargs = {}
-        if args.config:
-            model_kwargs = json.loads(Path(args.config).read_text()).get("model", {})
-        desc = SawtPolicy(SawtConfig(**model_kwargs), seed=0).describe()
+        _, model_cfg, _ = _resolve_train_config(args)
+        desc = SawtPolicy(model_cfg, seed=0).describe()
     print(json.dumps(desc, indent=2, sort_keys=True))
     return 0
 
@@ -722,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", type=str, default=None,
                    help="policy checkpoint (required for --solver sawt)")
     p.add_argument("--reference", type=str, default="auto",
-                   help="gap reference: auto (brute for n<=%d else tabu-5000), "
+                   help="gap reference: auto (brute for n<=%d, else the "
+                        "deterministic 5000-step tabu run from the identity), "
                         "brute, tabu, none, or a JSON file of name->cost "
                         "(default: auto)" % BRUTE_FORCE_MAX_N)
     p.add_argument("--record-trajectory", action="store_true",

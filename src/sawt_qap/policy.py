@@ -50,9 +50,6 @@ __all__ = [
     "load_policy",
 ]
 
-_FLOW_MIXES = ("product",)
-
-
 @dataclass(frozen=True)
 class SawtConfig:
     """Hyperparameters of the policy network.
@@ -66,8 +63,6 @@ class SawtConfig:
         gcn_layers: Residual message-passing rounds in the location encoder.
         fac_blocks: Flow-mixed attention blocks in the facility encoder.
         ffn_mult: Feed-forward expansion factor inside encoder blocks.
-        flow_mix: How flow mixes with attention scores; only ``"product"``
-            (elementwise multiplication) is implemented.
         dtype: ``"float32"`` for training, ``"float64"`` for gradient checks.
         debug_checks: When set, every forward pass asserts that the
             solution-aware matrix sums to the assignment cost.
@@ -80,7 +75,6 @@ class SawtConfig:
     gcn_layers: int = 3
     fac_blocks: int = 2
     ffn_mult: int = 4
-    flow_mix: str = "product"
     dtype: str = "float32"
     debug_checks: bool = False
 
@@ -95,10 +89,6 @@ class SawtConfig:
             raise ValidationError(f"n_init must be at least 2, got {self.n_init}")
         if self.gcn_layers < 0 or self.fac_blocks < 1 or self.ffn_mult < 1:
             raise ValidationError("gcn_layers must be >= 0, fac_blocks/ffn_mult >= 1")
-        if self.flow_mix not in _FLOW_MIXES:
-            raise ValidationError(
-                f"flow_mix must be one of {_FLOW_MIXES}, got {self.flow_mix!r}"
-            )
         if self.dtype not in ("float32", "float64"):
             raise ValidationError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
@@ -111,7 +101,8 @@ class SawtConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SawtConfig":
-        return SawtConfig(**d)
+        # Checkpoints written before ``flow_mix`` was removed still carry it.
+        return SawtConfig(**{k: v for k, v in d.items() if k != "flow_mix"})
 
 
 @dataclass

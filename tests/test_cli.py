@@ -124,6 +124,44 @@ def test_solve_brute_and_fp64_check(gen_dir, tmp_path):
         assert float(row["gap"]) == 0.0  # brute equals its own reference
 
 
+@pytest.mark.parametrize("solver,kernel,extra,calls", [
+    ("brute", "brute_force", [], 4),  # --reference auto at n=6 is the brute run itself
+    ("tabu", "tabu_search", ["--reference", "tabu"], 4),  # the same 5000-step run
+    ("tabu", "tabu_search", ["--reference", "tabu", "--steps", "100"], 8),  # other budget
+])
+def test_solve_reuses_its_run_as_reference(gen_dir, tmp_path, monkeypatch,
+                                           solver, kernel, extra, calls):
+    from sawt_qap import cli
+
+    real = getattr(cli, kernel)
+    seen = []
+
+    def counting(inst, *args, **kwargs):
+        seen.append(inst.name)
+        return real(inst, *args, **kwargs)
+
+    monkeypatch.setattr(cli, kernel, counting)
+    out = tmp_path / "run"
+    assert main(["solve", "--instances", str(gen_dir), "--solver", solver, *extra,
+                 "--out", str(out)]) == 0
+    assert len(seen) == calls
+    for row in read_csv(out / "results.csv"):
+        assert row["reference"] != "" and float(row["gap"]) >= 0.0
+
+
+def test_fp64_check_aborts_on_mismatch(gen_dir, tmp_path, monkeypatch, capsys):
+    from sawt_qap import cli
+
+    assert main(["qaplib", "bench", "had12", "--steps", "200", "--fp64-check",
+                 "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(cli, "objective", lambda inst, sigma: objective(inst, sigma) + 1.0)
+    assert main(["qaplib", "bench", "had12", "--steps", "200", "--fp64-check",
+                 "--out", str(tmp_path / "bench")]) == 4
+    assert main(["solve", "--instances", str(gen_dir), "--solver", "greedy", "--fp64-check",
+                 "--reference", "none", "--out", str(tmp_path / "solve")]) == 4
+    assert "fp64 re-verification" in capsys.readouterr().err
+
+
 def test_solve_threads_do_not_change_output(gen_dir, tmp_path):
     args = ["solve", "--instances", str(gen_dir), "--solver", "tabu",
             "--steps", "300", "--seed", "5"]
@@ -388,6 +426,11 @@ def test_describe_default_and_checkpoint(trained, tmp_path, capsys):
     desc2 = json.loads(capsys.readouterr().out)
     assert desc2["meta"]["epoch"] == 1
 
+    # A model key SawtConfig does not have (flow_mix was removed) is a usage error.
+    cfg_path.write_text(json.dumps({"model": {"flow_mix": "product"}}))
+    assert main(["describe", "--config", str(cfg_path)]) == 3
+    assert "flow_mix" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # rerun / manifest reproducibility
@@ -407,10 +450,10 @@ def test_rerun_solve_bit_identical(gen_dir, tmp_path, capsys):
 def test_rerun_train_reproduces_checkpoint(trained, tmp_path, capsys):
     out, _ = trained
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["outputs"] == {"deterministic": ["policy.ckpt"],
+    assert manifest["outputs"] == {"deterministic": ["policy.ckpt", "policy_best.ckpt"],
                                    "volatile": ["metrics.jsonl"]}
     assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "again")]) == 0
-    assert "reproduced 1 deterministic output file(s)" in capsys.readouterr().out
+    assert "reproduced 2 deterministic output file(s)" in capsys.readouterr().out
 
 
 def test_rerun_detects_tampering(gen_dir, tmp_path, capsys):

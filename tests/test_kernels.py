@@ -1,4 +1,5 @@
-"""Numba and numpy kernel paths agree, and the env flag selects them."""
+"""Loop (numba, or plain Python without it) and numpy kernels agree, and the
+env flag selects the active backend."""
 
 from __future__ import annotations
 
@@ -9,29 +10,33 @@ from sawt_qap import _kernels as K
 from sawt_qap.core import generate_instance
 from helpers import exhaustive_best, random_asymmetric_instance, random_integer_instance
 
-needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba unavailable")
+# The numba kernels, or where numba is absent their scalar-loop source run as
+# plain Python, so the loop flavour is checked against the numpy one either way.
+LOOP = {
+    name: getattr(K, f"{name}_numba") or getattr(K, f"_{name}_loop")
+    for name in ("objective", "swap_delta", "all_swap_deltas", "greedy", "tabu", "brute_force")
+}
 
 
-@needs_numba
 class TestBackendAgreement:
     def test_objective(self, rng):
         inst = random_asymmetric_instance(rng, 11)
         for _ in range(10):
             sigma = rng.permutation(11).astype(np.int64)
             a = K.objective_numpy(inst.flow, inst.distance, sigma)
-            b = K.objective_numba(inst.flow, inst.distance, sigma)
+            b = LOOP["objective"](inst.flow, inst.distance, sigma)
             assert b == pytest.approx(a, rel=1e-12)
 
     def test_swap_delta_and_matrix(self, rng):
         inst = random_asymmetric_instance(rng, 9)
         sigma = rng.permutation(9).astype(np.int64)
         mat_np = K.all_swap_deltas_numpy(inst.flow, inst.distance, sigma)
-        mat_nb = K.all_swap_deltas_numba(inst.flow, inst.distance, sigma)
-        assert np.allclose(mat_np, mat_nb, rtol=1e-10, atol=1e-12)
+        mat_loop = LOOP["all_swap_deltas"](inst.flow, inst.distance, sigma)
+        assert np.allclose(mat_np, mat_loop, rtol=1e-10, atol=1e-12)
         for i in range(9):
             for j in range(i + 1, 9):
                 a = K.swap_delta_numpy(inst.flow, inst.distance, sigma, i, j)
-                b = K.swap_delta_numba(inst.flow, inst.distance, sigma, i, j)
+                b = LOOP["swap_delta"](inst.flow, inst.distance, sigma, i, j)
                 assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
 
     def test_greedy_identical_on_integer_data(self, rng):
@@ -40,28 +45,28 @@ class TestBackendAgreement:
         for _ in range(5):
             inst = random_integer_instance(rng, 10)
             start = rng.permutation(10).astype(np.int64)
-            s_nb, c_nb, st_nb = K.greedy_numba(inst.flow, inst.distance, start, 500)
+            s_loop, c_loop, st_loop = LOOP["greedy"](inst.flow, inst.distance, start, 500)
             s_np, c_np, st_np = K.greedy_numpy(inst.flow, inst.distance, start, 500)
-            assert np.array_equal(s_nb, s_np)
-            assert c_nb == c_np
-            assert st_nb == st_np
+            assert np.array_equal(s_loop, s_np)
+            assert c_loop == c_np
+            assert st_loop == st_np
 
     def test_tabu_identical_on_integer_data(self, rng):
         for _ in range(3):
             inst = random_integer_instance(rng, 9)
             start = rng.permutation(9).astype(np.int64)
-            out_nb = K.tabu_numba(inst.flow, inst.distance, start, 300, 7, True)
+            out_loop = LOOP["tabu"](inst.flow, inst.distance, start, 300, 7, True)
             out_np = K.tabu_numpy(inst.flow, inst.distance, start, 300, 7, True)
-            assert np.array_equal(out_nb[0], out_np[0])
-            assert out_nb[1] == out_np[1]
-            assert np.array_equal(out_nb[4], out_np[4])
+            assert np.array_equal(out_loop[0], out_np[0])
+            assert out_loop[1] == out_np[1]
+            assert np.array_equal(out_loop[4], out_np[4])
 
     def test_brute_force_agreement(self, rng):
         inst = random_asymmetric_instance(rng, 7)
-        p_nb, c_nb, _ = K.brute_force_numba(inst.flow, inst.distance, np.inf)
+        p_loop, c_loop, _ = LOOP["brute_force"](inst.flow, inst.distance, np.inf)
         p_np, c_np, _ = K.brute_force_numpy(inst.flow, inst.distance)
-        assert np.array_equal(p_nb, p_np)
-        assert c_nb == pytest.approx(c_np, rel=1e-12)
+        assert np.array_equal(p_loop, p_np)
+        assert c_loop == pytest.approx(c_np, rel=1e-12)
 
 
 def _exact_cases(rng):
@@ -126,10 +131,12 @@ class TestExactSearchNumpy:
             K.brute_force_numpy(flow, np.ones((2, 2)))
 
     def test_tiny_sizes(self):
-        perm, cost, _ = K.brute_force_numpy(np.zeros((0, 0)), np.zeros((0, 0)))
-        assert perm.shape == (0,) and cost == 0.0
-        perm, cost, _ = K.brute_force_numpy(np.full((1, 1), 2.0), np.full((1, 1), 3.0))
-        assert np.array_equal(perm, [0]) and cost == 6.0
+        for flow, distance in ((np.zeros((0, 0)), np.zeros((0, 0))),
+                               (np.full((1, 1), 2.0), np.full((1, 1), 3.0))):
+            ref_perm, ref_cost = exhaustive_best(flow, distance)
+            for kernel in (K.brute_force_numpy, K._brute_force_loop):
+                perm, cost, _ = kernel(flow, distance, np.inf)
+                assert np.array_equal(perm, ref_perm) and cost == ref_cost
 
 
 def test_env_flag_selects_backend():

@@ -37,8 +37,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         SawtConfig(n_init=1)
     with pytest.raises(ValidationError):
-        SawtConfig(flow_mix="concat")
-    with pytest.raises(ValidationError):
         SawtConfig(dtype="float16")
     with pytest.raises(ValidationError):
         SawtConfig(n_layers=0)
@@ -403,6 +401,24 @@ def test_policy_checkpoint_wrong_kind(tmp_path):
     save_checkpoint(path, {"a": np.zeros(3, dtype=np.float32)}, {"kind": "other"})
     with pytest.raises(CheckpointError, match="kind"):
         load_policy(path)
+
+
+def test_checkpoint_with_removed_flow_mix_loads(tmp_path):
+    from sawt_qap.nn import save_checkpoint
+
+    cfg = SawtConfig(d_emb=16, n_heads=2, n_layers=1, n_init=12)
+    policy = SawtPolicy(cfg, seed=5)
+    # The header config of a checkpoint saved while flow_mix was a field.
+    header = {"kind": "sawt-policy", "config": {**cfg.to_dict(), "flow_mix": "product"},
+              "meta": {}, "adam_step": None}
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, dict(policy.state_arrays()), header)
+    restored, _, _ = load_policy(path)
+    assert restored.config == cfg
+    for k in policy.params:
+        np.testing.assert_array_equal(
+            restored.params[k].data, policy.params[k].data.astype(np.float32)
+        )
 
 
 def test_restored_policy_same_actions(tmp_path, rng):
