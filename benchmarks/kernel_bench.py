@@ -1,20 +1,15 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Time the kernels of ``sawt_qap._kernels`` per instance size.
 
-Every hot kernel ships in two interchangeable flavors (see
-``sawt_qap._kernels``); this script times both on identical inputs, checks
-they agree numerically, and prints a speedup table.  Numba compile time is
-excluded by a warm-up call per kernel and size.
+Each kernel is called once untimed, then ``--repeats`` times; the table
+reports the median wall time.  Correctness is checked by
+``tests/test_kernels.py``, not here.
 
 Usage::
 
     python benchmarks/kernel_bench.py                  # default sizes
     python benchmarks/kernel_bench.py --sizes 12,30,60 --repeats 7
     python benchmarks/kernel_bench.py --json out.json  # machine-readable copy
-
-The active default backend for the package is selected by the
-``SAWT_QAP_NUMBA`` environment variable; this benchmark always exercises
-both flavors regardless of the flag.
 """
 
 from __future__ import annotations
@@ -42,13 +37,6 @@ def _time(fn, repeats: int) -> float:
     return statistics.median(samples)
 
 
-def _check_close(name: str, n: int, a, b, tol: float = 1e-8) -> None:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    err = np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
-    if err > tol:
-        raise AssertionError(f"{name} (n={n}): flavors disagree, rel err {err:.3e}")
-
-
 def bench_one(n: int, tabu_steps: int, repeats: int, rng: np.random.Generator) -> list[dict]:
     inst = generate_instance(n, p=0.5, seed=int(rng.integers(2**31)))
     flow, distance = inst.flow, inst.distance
@@ -57,33 +45,19 @@ def bench_one(n: int, tabu_steps: int, repeats: int, rng: np.random.Generator) -
     tenure = default_tenure(n)
 
     cases = [
-        ("objective", lambda f: f(flow, distance, sigma),
-         K.objective_numba, K.objective_numpy),
-        ("swap_delta", lambda f: f(flow, distance, sigma, i, j),
-         K.swap_delta_numba, K.swap_delta_numpy),
-        ("all_swap_deltas", lambda f: f(flow, distance, sigma),
-         K.all_swap_deltas_numba, K.all_swap_deltas_numpy),
-        ("greedy", lambda f: f(flow, distance, sigma, 10_000)[1],
-         K.greedy_numba, K.greedy_numpy),
-        ("tabu", lambda f: f(flow, distance, sigma, tabu_steps, tenure, True)[1],
-         K.tabu_numba, K.tabu_numpy),
+        ("objective", lambda: K.objective(flow, distance, sigma)),
+        ("swap_delta", lambda: K.swap_delta(flow, distance, sigma, i, j)),
+        ("all_swap_deltas", lambda: K.all_swap_deltas(flow, distance, sigma)),
+        ("greedy", lambda: K.greedy(flow, distance, sigma, 10_000)),
+        ("tabu", lambda: K.tabu(flow, distance, sigma, tabu_steps, tenure, True)),
     ]
     if n <= BRUTE_FORCE_MAX_N:
-        cases.append(
-            ("brute_force", lambda f: f(flow, distance, np.inf)[1],
-             K.brute_force_numba, K.brute_force_numpy)
-        )
+        cases.append(("brute_force", lambda: K.brute_force(flow, distance)))
 
     rows = []
-    for name, call, fn_numba, fn_numpy in cases:
-        out_numpy = call(fn_numpy)
-        row = {"kernel": name, "n": n, "numpy_ms": _time(lambda: call(fn_numpy), repeats)}
-        if fn_numba is not None:
-            out_numba = call(fn_numba)  # warm-up; also the agreement sample
-            _check_close(name, n, out_numba, out_numpy)
-            row["numba_ms"] = _time(lambda: call(fn_numba), repeats)
-            row["speedup"] = row["numpy_ms"] / row["numba_ms"] if row["numba_ms"] else float("inf")
-        rows.append(row)
+    for name, call in cases:
+        call()  # warm-up
+        rows.append({"kernel": name, "n": n, "ms": _time(call, repeats)})
     return rows
 
 
@@ -103,25 +77,19 @@ def main(argv=None) -> int:
     sizes = [int(s) for s in args.sizes.replace(",", " ").split()]
     rng = np.random.default_rng(args.seed)
 
-    if not K.HAS_NUMBA:
-        print("numba is not importable; timing the numpy flavor only", file=sys.stderr)
-    print(f"active package backend: {K.ACTIVE_BACKEND}")
-
     rows = []
     for n in sizes:
         rows.extend(bench_one(n, args.tabu_steps, args.repeats, rng))
 
-    header = f"{'kernel':<16} {'n':>4} {'numpy (ms)':>12} {'numba (ms)':>12} {'speedup':>9}"
+    header = f"{'kernel':<16} {'n':>4} {'median (ms)':>12}"
     print(header)
     print("-" * len(header))
     for row in rows:
-        numba_ms = f"{row['numba_ms']:12.3f}" if "numba_ms" in row else f"{'—':>12}"
-        speedup = f"{row['speedup']:8.1f}x" if "speedup" in row else f"{'—':>9}"
-        print(f"{row['kernel']:<16} {row['n']:>4} {row['numpy_ms']:>12.3f} {numba_ms} {speedup}")
+        print(f"{row['kernel']:<16} {row['n']:>4} {row['ms']:>12.3f}")
 
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump({"backend": K.ACTIVE_BACKEND, "rows": rows}, fh, indent=2)
+            json.dump({"rows": rows}, fh, indent=2)
         print(f"wrote {args.json}")
     return 0
 

@@ -14,11 +14,11 @@ published optimum by exact search on the exact matrices being shipped:
                 matrix is identically zero, hence optimum 0 for every
                 permutation (distances: 4-bit Hamming metric).
 
-The exact search is a lexicographic DFS with admissible partial-cost pruning
-(see ``sawt_qap._kernels``), seeded with a tabu-search upper bound and run on
-a facility ordering sorted by total flow (a relabeling that only speeds up
-pruning; results are mapped back).  A fixture is written only if the proven
-optimum matches the published value exactly, so shipping implies verification.
+The exact search is the branch and bound of ``sawt_qap._kernels.brute_force``,
+primed with a multi-start tabu upper bound and run on the instance with its
+facilities relabeled heaviest total flow first (the result is mapped back).
+A fixture is written only if the proven optimum matches the published value
+exactly, so shipping implies verification.
 
 Deliberately NOT shipped: ``nug12`` and ``chr12a``.  A reconstruction of
 nug12 proved to optimum 574 instead of the published 578 (at least one flow
@@ -122,22 +122,25 @@ ESC16F_DIST = np.array(
 
 
 def exact_optimum(flow: np.ndarray, distance: np.ndarray) -> tuple[np.ndarray, float]:
-    """Prove the global optimum by pruned DFS (tabu-seeded, flow-sorted)."""
+    """Prove the global optimum by branch and bound (tabu-primed, flow-sorted)."""
     n = flow.shape[0]
     rng = np.random.default_rng(0)
     bound = np.inf
     for _ in range(8):
         start = rng.permutation(n).astype(np.int64)
-        _, cost, _, _, _ = kernels.tabu_numba(flow, distance, start, 2000, 7, True)
+        _, cost, _, _, _ = kernels.tabu(flow, distance, start, 2000, 7, True)
         bound = min(bound, cost)
+    # The relabel decides which tied optimum ships: exact search returns the
+    # lexicographically smallest optimum of the relabeled instance, and had12
+    # has more than one.  Dropping it changes had12.sln to another optimum.
     order = np.argsort(-(flow.sum(0) + flow.sum(1)), kind="stable").astype(np.int64)
     flow_r = np.ascontiguousarray(flow[np.ix_(order, order)])
     # The optimum is <= bound < bound + 0.5 (integer-valued costs), so the
-    # DFS always recovers an argmin even when tabu already found the optimum.
-    perm_r, cost, _ = kernels.brute_force_numba(flow_r, distance, bound + 0.5)
+    # search always recovers an argmin even when tabu already found the optimum.
+    perm_r, cost, _ = kernels.brute_force(flow_r, distance, bound + 0.5)
     sigma = np.empty(n, dtype=np.int64)
     sigma[order] = perm_r
-    check = kernels.objective_numba(flow, distance, sigma)
+    check = kernels.objective(flow, distance, sigma)
     assert check == cost, (check, cost)
     return sigma, float(cost)
 
@@ -179,7 +182,7 @@ def main() -> int:
         print(f"{name}: proven optimum {cost:.0f} (published {published}) "
               f"[{status}] in {dt:.1f}s  sigma={sigma.tolist()}")
         if name == "chr12c":
-            ref = kernels.objective_numba(flow, distance, CHR12C_PERM)
+            ref = kernels.objective(flow, distance, CHR12C_PERM)
             print(f"  chr12c published permutation re-check: {ref:.0f}")
         if cost != published:
             ok = False

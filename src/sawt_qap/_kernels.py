@@ -1,16 +1,4 @@
-"""Hot numerical kernels, in two interchangeable flavors.
-
-Every kernel here exists twice:
-
-* a scalar-loop implementation compiled with numba ``@njit`` (fast path), and
-* a vectorized pure-numpy implementation (fallback path).
-
-The active default is chosen at import time by the ``SAWT_QAP_NUMBA``
-environment variable: unset or ``"1"`` selects numba when it is importable,
-``"0"`` forces the numpy path.  Both flavors are always exported (``*_numba``
-may be ``None`` when numba is unavailable) so tests and benchmarks can compare
-them directly; ``benchmarks/kernel_bench.py`` does exactly that.  Without
-numba the tests run the ``_*_loop`` sources as plain Python instead.
+"""Hot numerical kernels: vectorized numpy, one implementation per kernel.
 
 Conventions shared by all kernels:
 
@@ -21,229 +9,26 @@ Conventions shared by all kernels:
 * A "swap (i, j)" exchanges the locations of facilities ``i`` and ``j``.
 * No symmetry is assumed anywhere: deltas use the general asymmetric update.
 
-Exact search differs in method between the flavors but not in its answer.
-The loop flavor is a lexicographic depth-first search with partial-cost
-pruning; the numpy flavor is a depth-first branch and bound over blocks of
-partial assignments, seeded by a short tabu run and pruned with a
-Gilmore–Lawler-style bound (see :func:`brute_force_numpy`).  Both need
-non-negative ``flow`` and ``distance`` and return, among the minimum-cost
-permutations, the lexicographically smallest.  The numpy flavor makes that
-tie rule independent of summation order: it keeps every leaf within a
-relative ``1e-9`` of the incumbent, scores each with one batched ``einsum``
-and compares those scores exactly.
+Exact search (:func:`brute_force`) is a depth-first branch and bound over
+blocks of partial assignments, seeded by a short tabu run and pruned with a
+Gilmore–Lawler-style bound.  It needs non-negative ``flow`` and ``distance``
+and returns, among the minimum-cost permutations, the lexicographically
+smallest.  That tie rule does not depend on summation order: the search keeps
+every leaf within a relative ``1e-9`` of the incumbent, scores each with one
+batched ``einsum`` and compares those scores exactly.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("SAWT_QAP_NUMBA", "1") != "0"
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAS_NUMBA = False
-
-if not HAS_NUMBA:
-    USE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# Scalar-loop implementations (numba-compilable, also valid plain Python).
-# ---------------------------------------------------------------------------
-
-
-def _objective_loop(flow, distance, sigma):
-    n = sigma.shape[0]
-    total = 0.0
-    for i in range(n):
-        si = sigma[i]
-        for j in range(n):
-            total += flow[i, j] * distance[si, sigma[j]]
-    return total
-
-
-def _swap_delta_loop(flow, distance, sigma, i, j):
-    si = sigma[i]
-    sj = sigma[j]
-    n = sigma.shape[0]
-    delta = (flow[i, i] - flow[j, j]) * (distance[sj, sj] - distance[si, si])
-    delta += (flow[i, j] - flow[j, i]) * (distance[sj, si] - distance[si, sj])
-    for k in range(n):
-        if k == i or k == j:
-            continue
-        sk = sigma[k]
-        delta += (flow[i, k] - flow[j, k]) * (distance[sj, sk] - distance[si, sk])
-        delta += (flow[k, i] - flow[k, j]) * (distance[sk, sj] - distance[sk, si])
-    return delta
-
-
-def _all_swap_deltas_loop(flow, distance, sigma):
-    n = sigma.shape[0]
-    deltas = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = _swap_delta_loop(flow, distance, sigma, i, j)
-            deltas[i, j] = d
-            deltas[j, i] = d
-    return deltas
-
-
-def _greedy_loop(flow, distance, sigma, max_steps):
-    n = sigma.shape[0]
-    sigma = sigma.copy()
-    cost = _objective_loop(flow, distance, sigma)
-    steps = 0
-    while steps < max_steps:
-        best_delta = 0.0
-        best_i = -1
-        best_j = -1
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = _swap_delta_loop(flow, distance, sigma, i, j)
-                if d < best_delta:
-                    best_delta = d
-                    best_i = i
-                    best_j = j
-        if best_i < 0:
-            break
-        tmp = sigma[best_i]
-        sigma[best_i] = sigma[best_j]
-        sigma[best_j] = tmp
-        cost += best_delta
-        steps += 1
-    return sigma, cost, steps
-
-
-def _tabu_loop(flow, distance, sigma, max_steps, tenure, aspiration):
-    n = sigma.shape[0]
-    current = sigma.copy()
-    current_cost = _objective_loop(flow, distance, current)
-    best = current.copy()
-    best_cost = current_cost
-    expiry = np.zeros((n, n), dtype=np.int64)
-    history = np.empty(max_steps, dtype=np.float64)
-    for step in range(1, max_steps + 1):
-        pick_i = -1
-        pick_j = -1
-        pick_delta = np.inf
-        esc_i = -1
-        esc_j = -1
-        esc_delta = np.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = _swap_delta_loop(flow, distance, current, i, j)
-                if d < esc_delta:
-                    esc_delta = d
-                    esc_i = i
-                    esc_j = j
-                admissible = expiry[i, j] < step
-                if not admissible and aspiration:
-                    admissible = current_cost + d < best_cost
-                if admissible and d < pick_delta:
-                    pick_delta = d
-                    pick_i = i
-                    pick_j = j
-        if pick_i < 0:
-            # Every move is tabu and none aspirates: take the best tabu move
-            # so the search keeps moving (deterministic escape).
-            pick_i = esc_i
-            pick_j = esc_j
-            pick_delta = esc_delta
-        tmp = current[pick_i]
-        current[pick_i] = current[pick_j]
-        current[pick_j] = tmp
-        current_cost += pick_delta
-        expiry[pick_i, pick_j] = step + tenure
-        if current_cost < best_cost:
-            best_cost = current_cost
-            best = current.copy()
-        history[step - 1] = best_cost
-    return best, best_cost, current, current_cost, history
-
-
-def _brute_force_loop(flow, distance, init_bound):
-    """Exact search: lexicographic DFS with admissible partial-cost pruning.
-
-    Requires ``flow >= 0`` and ``distance >= 0`` element-wise so that partial
-    assignment cost is monotone non-decreasing, which makes the
-    ``partial >= best`` prune exact.  Because the DFS visits permutations in
-    lexicographic order and only a strict improvement replaces the incumbent,
-    the returned optimum is the lexicographically smallest one.
-
-    ``init_bound`` primes the incumbent cost (``np.inf`` for a cold start).
-    Any leaf strictly below the bound is still reachable, so passing
-    ``known_optimum + 0.5`` on integer-valued data is a safe accelerator.
-    Returns ``(perm, cost, leaves)``; ``cost == inf`` and an identity ``perm``
-    mean nothing beat the bound.
-    """
-    n = flow.shape[0]
-    if n == 0:
-        return np.arange(0), (0.0 if 0.0 < init_bound else init_bound), 0
-    perm = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=np.bool_)
-    partial = np.zeros(n + 1, dtype=np.float64)
-    cand = np.zeros(n, dtype=np.int64)
-    best_perm = np.arange(n)
-    best = init_bound
-    leaves = 0
-    k = 0
-    while k >= 0:
-        loc = -1
-        c = cand[k]
-        while c < n:
-            if not used[c]:
-                loc = c
-                break
-            c += 1
-        if loc < 0:
-            k -= 1
-            if k >= 0:
-                prev = perm[k]
-                used[prev] = False
-                perm[k] = -1
-                cand[k] = prev + 1
-            continue
-        add = flow[k, k] * distance[loc, loc]
-        for i in range(k):
-            pi = perm[i]
-            add += flow[i, k] * distance[pi, loc] + flow[k, i] * distance[loc, pi]
-        new_partial = partial[k] + add
-        if new_partial >= best:
-            cand[k] = loc + 1
-            continue
-        if k == n - 1:
-            leaves += 1
-            best = new_partial
-            perm[k] = loc
-            best_perm = perm.copy()
-            perm[k] = -1
-            cand[k] = loc + 1
-            continue
-        perm[k] = loc
-        used[loc] = True
-        partial[k + 1] = new_partial
-        k += 1
-        cand[k] = 0
-    return best_perm, best, leaves
-
-
-# ---------------------------------------------------------------------------
-# Vectorized numpy implementations.
-# ---------------------------------------------------------------------------
-
-
-def objective_numpy(flow, distance, sigma):
+def objective(flow, distance, sigma):
     """Objective value via fancy indexing: sum(F * D[sigma][:, sigma])."""
     return float(np.sum(flow * distance[np.ix_(sigma, sigma)]))
 
 
-def swap_delta_numpy(flow, distance, sigma, i, j):
+def swap_delta(flow, distance, sigma, i, j):
     """O(n) swap delta from row/column slices (general asymmetric form)."""
     si = int(sigma[i])
     sj = int(sigma[j])
@@ -260,7 +45,7 @@ def swap_delta_numpy(flow, distance, sigma, i, j):
     return float(row_sum + col_sum + corner)
 
 
-def all_swap_deltas_numpy(flow, distance, sigma):
+def all_swap_deltas(flow, distance, sigma):
     """All-pairs swap deltas as a symmetric (n, n) matrix via two matmuls.
 
     Expanding the general delta over all pairs gives, with
@@ -300,13 +85,13 @@ def _lex_best_pair(deltas):
     return flat // n, flat % n
 
 
-def greedy_numpy(flow, distance, sigma, max_steps):
+def greedy(flow, distance, sigma, max_steps):
     """Best-improvement 2-swap descent (vectorized delta scans)."""
     sigma = sigma.copy()
-    cost = objective_numpy(flow, distance, sigma)
+    cost = objective(flow, distance, sigma)
     steps = 0
     while steps < max_steps:
-        deltas = all_swap_deltas_numpy(flow, distance, sigma)
+        deltas = all_swap_deltas(flow, distance, sigma)
         i, j = _lex_best_pair(deltas)
         if deltas[i, j] >= 0.0:
             break
@@ -316,18 +101,22 @@ def greedy_numpy(flow, distance, sigma, max_steps):
     return sigma, cost, steps
 
 
-def tabu_numpy(flow, distance, sigma, max_steps, tenure, aspiration):
-    """Tabu search step loop (vectorized scans); see ``tabu`` for semantics."""
+def tabu(flow, distance, sigma, max_steps, tenure, aspiration):
+    """Tabu search step loop (vectorized scans).
+
+    See :func:`sawt_qap.solvers.tabu_search` for the semantics.  Returns
+    ``(best, best_cost, current, current_cost, history)``.
+    """
     n = sigma.shape[0]
     current = sigma.copy()
-    current_cost = objective_numpy(flow, distance, current)
+    current_cost = objective(flow, distance, current)
     best = current.copy()
     best_cost = current_cost
     expiry = np.zeros((n, n), dtype=np.int64)
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     history = np.empty(max_steps, dtype=np.float64)
     for step in range(1, max_steps + 1):
-        deltas = all_swap_deltas_numpy(flow, distance, current)
+        deltas = all_swap_deltas(flow, distance, current)
         admissible = expiry < step
         if aspiration:
             admissible |= current_cost + deltas < best_cost
@@ -365,13 +154,13 @@ def _perm_costs(flow, distance, perms):
     return np.einsum("ij,kij->k", flow, distance[perms[:, :, None], perms[:, None, :]])
 
 
-def brute_force_numpy(flow, distance, init_bound=np.inf):
+def brute_force(flow, distance, init_bound=np.inf):
     """Exact search by depth-first, block-vectorized branch and bound.
 
     Requires ``flow >= 0`` and ``distance >= 0`` element-wise (``QapInstance``
     enforces it); the bound below is admissible only then.
 
-    * Incumbent: a short :func:`tabu_numpy` run from the identity sets the
+    * Incumbent: a short :func:`tabu` run from the identity sets the
       starting upper bound (``init_bound`` when that is lower).
     * Facilities are placed heaviest total flow (row plus column sum) first.
     * Bound of a partial assignment: its cost so far plus, for every unplaced
@@ -388,7 +177,7 @@ def brute_force_numpy(flow, distance, init_bound=np.inf):
       permutation with the exact minimum of those scores.  That is the
       permutation a full enumeration in lexicographic order would return.
 
-    As with the loop flavour, only costs strictly below ``init_bound`` count:
+    Only costs strictly below ``init_bound`` count:
     when none exists the result is ``(identity, init_bound)``.  Returns
     ``(perm, cost, leaves)`` with ``leaves`` the number of leaves scored.
     """
@@ -403,7 +192,7 @@ def brute_force_numpy(flow, distance, init_bound=np.inf):
         return best_perm, (0.0 if 0.0 < best else best), 0
     upper = best
     if n >= 2:
-        incumbent = tabu_numpy(flow, distance, np.arange(n), 10 * n, max(1, n // 2), True)[0]
+        incumbent = tabu(flow, distance, np.arange(n), 10 * n, max(1, n // 2), True)[0]
         upper = min(upper, float(_perm_costs(flow, distance, incumbent[None])[0]))
     order = np.argsort(-(flow.sum(axis=0) + flow.sum(axis=1)), kind="stable")
     # step[d][l, v, l2]: what placing facility order[d] at location l adds to
@@ -459,54 +248,3 @@ def brute_force_numpy(flow, distance, init_bound=np.inf):
     if not found and not np.isfinite(init_bound):
         raise ValueError("empty search space")
     return best_perm, best, leaves
-
-
-# ---------------------------------------------------------------------------
-# Backend selection.
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    _jit = njit(cache=True, nogil=True)
-    objective_numba = _jit(_objective_loop)
-    swap_delta_numba = _jit(_swap_delta_loop)
-    # Re-bind so the jitted inner call is used by the compiled callers below.
-    _swap_delta_loop = swap_delta_numba
-    _objective_loop = objective_numba
-    all_swap_deltas_numba = _jit(_all_swap_deltas_loop)
-    greedy_numba = _jit(_greedy_loop)
-    tabu_numba = _jit(_tabu_loop)
-    brute_force_numba = _jit(_brute_force_loop)
-else:  # pragma: no cover - exercised only when numba is absent
-    objective_numba = None
-    swap_delta_numba = None
-    all_swap_deltas_numba = None
-    greedy_numba = None
-    tabu_numba = None
-    brute_force_numba = None
-
-if USE_NUMBA:
-    ACTIVE_BACKEND = "numba"
-    objective = objective_numba
-    swap_delta = swap_delta_numba
-    all_swap_deltas = all_swap_deltas_numba
-    greedy = greedy_numba
-    tabu = tabu_numba
-    _brute = brute_force_numba
-else:
-    ACTIVE_BACKEND = "numpy"
-    objective = objective_numpy
-    swap_delta = swap_delta_numpy
-    all_swap_deltas = all_swap_deltas_numpy
-    greedy = greedy_numpy
-    tabu = tabu_numpy
-    _brute = brute_force_numpy
-
-
-def brute_force(flow, distance, init_bound=np.inf):
-    """Dispatch to the active exact-search kernel; returns (perm, cost, leaves).
-
-    ``perm`` is the lexicographically smallest minimum-cost permutation; when
-    no cost is strictly below ``init_bound`` it is the identity and ``cost`` is
-    ``init_bound``.
-    """
-    return _brute(flow, distance, init_bound)

@@ -83,12 +83,6 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def _derive_seeds(master: int, count: int) -> list[int]:
-    """Per-instance RNG seeds split from the master seed (SeedSequence spawn)."""
-    children = np.random.SeedSequence(master).spawn(count)
-    return [int(c.generate_state(1)[0]) for c in children]
-
-
 def _fmt(value) -> str:
     """Deterministic cell formatting: shortest-round-trip floats, plain ints."""
     if value is None or value == "":
@@ -337,13 +331,12 @@ def _write_results(run_dir: Path, solver: str, steps: int, seed: int, names: lis
 
     Row k reports ``parts[k]`` for instance ``names[k]`` against ``refs[k]``: a
     row has a gap only when its reference is known and non-zero, otherwise its
-    ``flag`` reads ``missing_flag`` or ``zero_flag``.  ``seed`` is the master
-    seed; tabu rows report the per-instance seed split from it.  results.jsonl
-    adds each part's volatile fields (``wall_ms``, ``sigma``, ...).
+    ``flag`` reads ``missing_flag`` or ``zero_flag``.  Every row reports the
+    master ``seed``.  results.jsonl adds each part's volatile fields
+    (``wall_ms``, ``sigma``, ...).
     """
-    seeds = _derive_seeds(seed, len(names)) if solver == "tabu" else [seed] * len(names)
     rows: list[dict] = []
-    for name, part, ref, row_seed in zip(names, parts, refs, seeds):
+    for name, part, ref in zip(names, parts, refs):
         flag = ""
         gap_val = None
         if ref is None:
@@ -355,7 +348,7 @@ def _write_results(run_dir: Path, solver: str, steps: int, seed: int, names: lis
         row = {
             "instance": name,
             "solver": solver,
-            "seed": row_seed,
+            "seed": seed,
             "steps": steps,
             "best_cost": part["best_cost"],
             "reference": ref,
@@ -575,7 +568,7 @@ def cmd_qaplib_bench(args) -> int:
     (run_dir / "categories.csv").write_text(buf.getvalue())
 
     config = {"names": names, "solver": args.solver, "steps": args.steps,
-              "data_dir": args.data_dir}
+              "data_dir": args.data_dir, "fp64_check": args.fp64_check}
     _write_manifest(
         run_dir, args, "qaplib bench", config, started,
         deterministic=["results.csv", "categories.csv"], volatile=["results.jsonl"],
@@ -662,8 +655,9 @@ def cmd_rerun(args) -> int:
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0,
-                     help="master seed; per-instance seeds are split from it "
-                          "via numpy SeedSequence.spawn (default: 0)")
+                     help="master seed, written to the manifest and to every "
+                          "result row; commands that draw random numbers seed "
+                          "from it (default: 0)")
     sub.add_argument("--threads", type=int, default=1,
                      help="worker threads across instances (default: 1)")
     sub.add_argument("--out", type=str, default=None,

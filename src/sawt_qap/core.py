@@ -5,9 +5,8 @@ A problem instance is a pair of square non-negative matrices ``flow`` and
 costs ``sum_{i,j} flow[i, j] * distance[sigma[i], sigma[j]]`` (equivalently
 ``trace(F @ X @ D @ X.T)`` for the permutation matrix ``X`` of ``sigma``).
 
-Hot paths (objective, swap deltas) dispatch to :mod:`sawt_qap._kernels`,
-which provides numba-compiled and pure-numpy implementations selected by the
-``SAWT_QAP_NUMBA`` environment variable.
+Hot paths (objective, swap deltas) run on the vectorized numpy kernels in
+:mod:`sawt_qap._kernels`.
 """
 
 from __future__ import annotations

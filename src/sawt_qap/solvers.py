@@ -2,7 +2,7 @@
 
 All solvers are deterministic given their inputs (and config seeds); ties in
 move selection are broken lexicographically by facility pair.  The step loops
-run on the kernels in :mod:`sawt_qap._kernels` (numba or numpy path).
+run on the kernels in :mod:`sawt_qap._kernels`.
 """
 
 from __future__ import annotations
@@ -49,17 +49,15 @@ ASSOCIATION_MAX_N = 32
 def brute_force(inst: QapInstance) -> Assignment:
     """Exact optimum by branch and bound.
 
-    On the numpy path the kernel is a depth-first, block-vectorized branch
-    and bound: a short tabu run sets the first upper bound, facilities are
-    placed heaviest total flow first, and a partial assignment is pruned when
-    its cost plus each unplaced facility's cheapest free location (counting
-    its interactions with the placed facilities) exceeds the incumbent.  The
-    bound is admissible because instances have non-negative entries.  On the
-    numba path it is a lexicographic depth-first search with partial-cost
-    pruning.
+    The kernel is a depth-first, block-vectorized branch and bound: a short
+    tabu run sets the first upper bound, facilities are placed heaviest total
+    flow first, and a partial assignment is pruned when its cost plus each
+    unplaced facility's cheapest free location (counting its interactions
+    with the placed facilities) exceeds the incumbent.  The bound is
+    admissible because instances have non-negative entries.
 
     Ties are broken toward the lexicographically smallest permutation.  The
-    numpy path keeps every leaf within a relative 1e-9 of the incumbent and
+    search keeps every leaf within a relative 1e-9 of the incumbent and
     compares their costs, each from one batched ``einsum``, exactly, so the
     winner does not depend on the order the search met the leaves in.
 

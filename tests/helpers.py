@@ -65,3 +65,184 @@ def exhaustive_best(flow, distance):
             best_cost = cost
             best_perm = perm
     return np.array(best_perm, dtype=np.int64), best_cost
+
+
+# ---------------------------------------------------------------------------
+# Scalar-loop references for the vectorized kernels in ``sawt_qap._kernels``:
+# same signatures and return values, one pair or one facility at a time.
+# ---------------------------------------------------------------------------
+
+
+def objective_loop(flow, distance, sigma):
+    n = sigma.shape[0]
+    total = 0.0
+    for i in range(n):
+        si = sigma[i]
+        for j in range(n):
+            total += flow[i, j] * distance[si, sigma[j]]
+    return total
+
+
+def swap_delta_loop(flow, distance, sigma, i, j):
+    si = sigma[i]
+    sj = sigma[j]
+    n = sigma.shape[0]
+    delta = (flow[i, i] - flow[j, j]) * (distance[sj, sj] - distance[si, si])
+    delta += (flow[i, j] - flow[j, i]) * (distance[sj, si] - distance[si, sj])
+    for k in range(n):
+        if k == i or k == j:
+            continue
+        sk = sigma[k]
+        delta += (flow[i, k] - flow[j, k]) * (distance[sj, sk] - distance[si, sk])
+        delta += (flow[k, i] - flow[k, j]) * (distance[sk, sj] - distance[sk, si])
+    return delta
+
+
+def all_swap_deltas_loop(flow, distance, sigma):
+    n = sigma.shape[0]
+    deltas = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = swap_delta_loop(flow, distance, sigma, i, j)
+            deltas[i, j] = d
+            deltas[j, i] = d
+    return deltas
+
+
+def greedy_loop(flow, distance, sigma, max_steps):
+    n = sigma.shape[0]
+    sigma = sigma.copy()
+    cost = objective_loop(flow, distance, sigma)
+    steps = 0
+    while steps < max_steps:
+        best_delta = 0.0
+        best_i = -1
+        best_j = -1
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = swap_delta_loop(flow, distance, sigma, i, j)
+                if d < best_delta:
+                    best_delta = d
+                    best_i = i
+                    best_j = j
+        if best_i < 0:
+            break
+        tmp = sigma[best_i]
+        sigma[best_i] = sigma[best_j]
+        sigma[best_j] = tmp
+        cost += best_delta
+        steps += 1
+    return sigma, cost, steps
+
+
+def tabu_loop(flow, distance, sigma, max_steps, tenure, aspiration):
+    n = sigma.shape[0]
+    current = sigma.copy()
+    current_cost = objective_loop(flow, distance, current)
+    best = current.copy()
+    best_cost = current_cost
+    expiry = np.zeros((n, n), dtype=np.int64)
+    history = np.empty(max_steps, dtype=np.float64)
+    for step in range(1, max_steps + 1):
+        pick_i = -1
+        pick_j = -1
+        pick_delta = np.inf
+        esc_i = -1
+        esc_j = -1
+        esc_delta = np.inf
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = swap_delta_loop(flow, distance, current, i, j)
+                if d < esc_delta:
+                    esc_delta = d
+                    esc_i = i
+                    esc_j = j
+                admissible = expiry[i, j] < step
+                if not admissible and aspiration:
+                    admissible = current_cost + d < best_cost
+                if admissible and d < pick_delta:
+                    pick_delta = d
+                    pick_i = i
+                    pick_j = j
+        if pick_i < 0:
+            # Every move is tabu and none aspirates: take the best tabu move
+            # so the search keeps moving (deterministic escape).
+            pick_i = esc_i
+            pick_j = esc_j
+            pick_delta = esc_delta
+        tmp = current[pick_i]
+        current[pick_i] = current[pick_j]
+        current[pick_j] = tmp
+        current_cost += pick_delta
+        expiry[pick_i, pick_j] = step + tenure
+        if current_cost < best_cost:
+            best_cost = current_cost
+            best = current.copy()
+        history[step - 1] = best_cost
+    return best, best_cost, current, current_cost, history
+
+
+def brute_force_loop(flow, distance, init_bound):
+    """Exact search: lexicographic DFS with admissible partial-cost pruning.
+
+    Requires ``flow >= 0`` and ``distance >= 0`` element-wise so that partial
+    assignment cost is monotone non-decreasing, which makes the
+    ``partial >= best`` prune exact.  Because the DFS visits permutations in
+    lexicographic order and only a strict improvement replaces the incumbent,
+    the returned optimum is the lexicographically smallest one.
+
+    ``init_bound`` primes the incumbent cost (``np.inf`` for a cold start).
+    Any leaf strictly below the bound is still reachable, so passing
+    ``known_optimum + 0.5`` on integer-valued data is a safe accelerator.
+    Returns ``(perm, cost, leaves)``; ``cost == inf`` and an identity ``perm``
+    mean nothing beat the bound.
+    """
+    n = flow.shape[0]
+    if n == 0:
+        return np.arange(0), (0.0 if 0.0 < init_bound else init_bound), 0
+    perm = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=np.bool_)
+    partial = np.zeros(n + 1, dtype=np.float64)
+    cand = np.zeros(n, dtype=np.int64)
+    best_perm = np.arange(n)
+    best = init_bound
+    leaves = 0
+    k = 0
+    while k >= 0:
+        loc = -1
+        c = cand[k]
+        while c < n:
+            if not used[c]:
+                loc = c
+                break
+            c += 1
+        if loc < 0:
+            k -= 1
+            if k >= 0:
+                prev = perm[k]
+                used[prev] = False
+                perm[k] = -1
+                cand[k] = prev + 1
+            continue
+        add = flow[k, k] * distance[loc, loc]
+        for i in range(k):
+            pi = perm[i]
+            add += flow[i, k] * distance[pi, loc] + flow[k, i] * distance[loc, pi]
+        new_partial = partial[k] + add
+        if new_partial >= best:
+            cand[k] = loc + 1
+            continue
+        if k == n - 1:
+            leaves += 1
+            best = new_partial
+            perm[k] = loc
+            best_perm = perm.copy()
+            perm[k] = -1
+            cand[k] = loc + 1
+            continue
+        perm[k] = loc
+        used[loc] = True
+        partial[k + 1] = new_partial
+        k += 1
+        cand[k] = 0
+    return best_perm, best, leaves

@@ -115,6 +115,15 @@ def test_solve_tabu_matches_brute_reference(gen_dir, tmp_path):
     assert "wall_ms" not in (out / "results.csv").read_text()
 
 
+def test_solve_tabu_rows_report_master_seed(gen_dir, tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", "--instances", str(gen_dir), "--solver", "tabu",
+                 "--steps", "50", "--reference", "none", "--seed", "5",
+                 "--out", str(out)]) == 0
+    rows = read_csv(out / "results.csv")
+    assert len(rows) == 4 and all(row["seed"] == "5" for row in rows)
+
+
 def test_solve_brute_and_fp64_check(gen_dir, tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--instances", str(gen_dir), "--solver", "brute",
@@ -388,7 +397,9 @@ def test_qaplib_fetch_unreachable(tmp_path):
 def test_qaplib_bench_bundled(tmp_path):
     out = tmp_path / "bench"
     assert main(["qaplib", "bench", "had12,esc16f", "--solver", "tabu",
-                 "--steps", "2000", "--seed", "2", "--out", str(out)]) == 0
+                 "--steps", "2000", "--seed", "2", "--fp64-check",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["fp64_check"] is True
     rows = {r["instance"]: r for r in read_csv(out / "results.csv")}
     assert float(rows["had12"]["reference"]) == 1652 and rows["had12"]["gap"] != ""
     assert float(rows["had12"]["gap"]) >= 0.0
