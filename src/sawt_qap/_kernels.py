@@ -9,6 +9,10 @@ Conventions shared by all kernels:
 * A "swap (i, j)" exchanges the locations of facilities ``i`` and ``j``.
 * No symmetry is assumed anywhere: deltas use the general asymmetric update.
 
+All swap deltas come from one closed form (:func:`all_swap_deltas`) in
+``P = D[sigma][:, sigma]`` and ``C = F P^T + F^T P``.  :func:`tabu` keeps ``P``
+and ``C`` current across its steps, so a step costs O(n^2), not two matmuls.
+
 Exact search (:func:`brute_force`) is a depth-first branch and bound over
 blocks of partial assignments, seeded by a short tabu run and pruned with a
 Gilmore–Lawler-style bound.  It needs non-negative ``flow`` and ``distance``
@@ -21,6 +25,14 @@ batched ``einsum`` and compares those scores exactly.
 from __future__ import annotations
 
 import numpy as np
+
+# Tabu recomputes its maintained C = F P^T + F^T P from scratch this often.
+_REFRESH_STEPS = 50
+# Exact search keeps every leaf within this relative distance of the incumbent,
+# so summation-order rounding can never prune a true tie.
+_TIE_RTOL = 1e-9
+# Float64 entries of the widest bound array one block expansion may build.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def objective(flow, distance, sigma):
@@ -45,36 +57,28 @@ def swap_delta(flow, distance, sigma, i, j):
     return float(row_sum + col_sum + corner)
 
 
-def all_swap_deltas(flow, distance, sigma):
-    """All-pairs swap deltas as a symmetric (n, n) matrix via two matmuls.
+def _pair_sums(m):
+    """``m[i, i] + m[j, j] - m[i, j] - m[j, i]``: exactly symmetric, zero diagonal."""
+    d = np.diag(m)
+    return d[:, None] + d[None, :] - (m + m.T)
 
-    Expanding the general delta over all pairs gives, with
-    ``P = D[sigma][:, sigma]``, ``A = F @ P.T`` and ``B = F.T @ P``,
-    a closed form per pair plus corrections for the excluded ``k in {i, j}``
-    terms.  Zero diagonal by construction (swapping i with i is a no-op).
+
+def _cross(flow, perm_d):
+    """``C = F P^T + F^T P``, the only O(n^3) part of the delta table."""
+    return flow @ perm_d.T + flow.T @ perm_d
+
+
+def all_swap_deltas(flow, distance, sigma):
+    """All-pairs swap deltas as a symmetric (n, n) matrix, in one closed form.
+
+    With ``P = D[sigma][:, sigma]``, ``C = F P^T + F^T P`` and ``c = diag(C)``,
+    the delta of swap (i, j) is ``C[i, j] + C[j, i] - c[i] - c[j] + G[i, j]
+    * H[i, j]``, where ``G`` and ``H`` are the :func:`_pair_sums` of ``F`` and
+    ``P``.  The ``C`` terms sum the asymmetric update over every ``k``; the
+    product corrects its ``k in {i, j}`` terms.  Zero diagonal.
     """
     perm_d = distance[np.ix_(sigma, sigma)]
-    a = flow @ perm_d.T
-    b = flow.T @ perm_d
-    da = np.diag(a)
-    db = np.diag(b)
-    full_row = a + a.T - da[:, None] - da[None, :]
-    full_col = b + b.T - db[:, None] - db[None, :]
-    f_diag = np.diag(flow)
-    p_diag = np.diag(perm_d)
-    # Terms with k == i or k == j that the full sums wrongly include.
-    excl_row = (f_diag[:, None] - flow.T) * (perm_d.T - p_diag[:, None]) + (
-        flow - f_diag[None, :]
-    ) * (p_diag[None, :] - perm_d)
-    excl_col = (f_diag[:, None] - flow) * (perm_d - p_diag[:, None]) + (
-        flow.T - f_diag[None, :]
-    ) * (p_diag[None, :] - perm_d.T)
-    corner = (f_diag[:, None] - f_diag[None, :]) * (
-        p_diag[None, :] - p_diag[:, None]
-    ) + (flow - flow.T) * (perm_d.T - perm_d)
-    deltas = full_row - excl_row + full_col - excl_col + corner
-    np.fill_diagonal(deltas, 0.0)
-    return deltas
+    return _pair_sums(flow) * _pair_sums(perm_d) - _pair_sums(_cross(flow, perm_d))
 
 
 def _lex_best_pair(deltas):
@@ -102,10 +106,17 @@ def greedy(flow, distance, sigma, max_steps):
 
 
 def tabu(flow, distance, sigma, max_steps, tenure, aspiration):
-    """Tabu search step loop (vectorized scans).
+    """Tabu search step loop at O(n^2) per step.
 
     See :func:`sawt_qap.solvers.tabu_search` for the semantics.  Returns
     ``(best, best_cost, current, current_cost, history)``.
+
+    Deltas use the closed form of :func:`all_swap_deltas`, whose ``P`` and
+    ``C`` the loop keeps current (Taillard 1991): after swap (r, s) it swaps
+    rows and columns r and s of ``P`` and columns r and s of ``C``, then adds
+    ``(F[:, r] - F[:, s]) (P[:, r] - P[:, s])^T + (F[r] - F[s]) (P[r] -
+    P[s])^T`` to ``C`` (``P`` already swapped).  ``C`` is recomputed every
+    ``_REFRESH_STEPS`` steps so rounding cannot build up on float data.
     """
     n = sigma.shape[0]
     current = sigma.copy()
@@ -115,8 +126,12 @@ def tabu(flow, distance, sigma, max_steps, tenure, aspiration):
     expiry = np.zeros((n, n), dtype=np.int64)
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     history = np.empty(max_steps, dtype=np.float64)
+    flow_pairs = _pair_sums(flow)
+    perm_d = distance[np.ix_(current, current)]
     for step in range(1, max_steps + 1):
-        deltas = all_swap_deltas(flow, distance, current)
+        if (step - 1) % _REFRESH_STEPS == 0:
+            cross = _cross(flow, perm_d)
+        deltas = flow_pairs * _pair_sums(perm_d) - _pair_sums(cross)
         admissible = expiry < step
         if aspiration:
             admissible |= current_cost + deltas < best_cost
@@ -135,14 +150,13 @@ def tabu(flow, distance, sigma, max_steps, tenure, aspiration):
             best_cost = current_cost
             best = current.copy()
         history[step - 1] = best_cost
+        pair, back = [i, j], [j, i]
+        perm_d[pair] = perm_d[back]
+        perm_d[:, pair] = perm_d[:, back]
+        cross[:, pair] = cross[:, back]
+        cross += np.outer(flow[:, i] - flow[:, j], perm_d[:, i] - perm_d[:, j])
+        cross += np.outer(flow[i] - flow[j], perm_d[i] - perm_d[j])
     return best, best_cost, current, current_cost, history
-
-
-# Exact search keeps every leaf within this relative distance of the incumbent,
-# so summation-order rounding can never prune a true tie.
-_TIE_RTOL = 1e-9
-# Float64 entries of the widest bound array one block expansion may build.
-_BLOCK_ENTRIES = 1 << 16
 
 
 def _perm_costs(flow, distance, perms):

@@ -653,15 +653,19 @@ def cmd_rerun(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0,
                      help="master seed, written to the manifest and to every "
                           "result row; commands that draw random numbers seed "
                           "from it (default: 0)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads across instances (default: 1)")
     sub.add_argument("--out", type=str, default=None,
                      help="run directory; receives manifest.json and results")
+
+
+def _common_flags(sub: argparse.ArgumentParser) -> None:
+    _run_flags(sub)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="worker threads across instances (default: 1)")
     sub.add_argument("--config", type=str, default=None,
                      help="JSON config file with 'train'/'model'/'data' sections")
     sub.add_argument("--fp64-check", action="store_true",
@@ -688,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1, help="number of instances (default: 1)")
     p.add_argument("--p", type=float, default=0.7,
                    help="flow sparsification probability (default: 0.7)")
-    _common_flags(p)
+    _run_flags(p)
     p.set_defaults(func=cmd_generate)
 
     p = subs.add_parser(
@@ -758,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("names", nargs="+", help="instance names, e.g. nug12 tai20a")
     pf.add_argument("--data-dir", type=str, default=None, help="cache directory")
     pf.add_argument("--base-url", type=str, default=None, help="mirror base URL")
-    _common_flags(pf)
     pf.set_defaults(func=cmd_qaplib_fetch)
 
     pb = qsubs.add_parser(

@@ -40,15 +40,16 @@ def random_asymmetric_instance(rng, n, scale=1.0, name=None) -> QapInstance:
     return QapInstance(name or f"asym{n}", flow, distance)
 
 
-def random_integer_instance(rng, n, high=10, name=None) -> QapInstance:
-    """Symmetric integer-valued instance (exact float arithmetic)."""
+def random_integer_instance(rng, n, high=10, name=None, symmetric=True) -> QapInstance:
+    """Integer-valued instance (exact float arithmetic), zero diagonal;
+    symmetric unless ``symmetric=False``."""
 
-    def sym(mat):
+    def off_diagonal(mat):
         upper = np.triu(mat, k=1)
-        return upper + upper.T
+        return upper + upper.T if symmetric else upper + np.tril(mat, k=-1)
 
-    flow = sym(rng.integers(0, high + 1, size=(n, n))).astype(np.float64)
-    distance = sym(rng.integers(0, high + 1, size=(n, n))).astype(np.float64)
+    flow = off_diagonal(rng.integers(0, high + 1, size=(n, n))).astype(np.float64)
+    distance = off_diagonal(rng.integers(0, high + 1, size=(n, n))).astype(np.float64)
     return QapInstance(name or f"int{n}", flow, distance)
 
 

@@ -78,6 +78,23 @@ def test_generate_refuses_existing_manifest(tmp_path, capsys):
     assert "exactly one run" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "4", "--threads", "2"],
+        ["generate", "--n", "4", "--fp64-check"],
+        ["generate", "--n", "4", "--config", "c.json"],
+        ["qaplib", "fetch", "had12", "--seed", "1"],
+        ["qaplib", "fetch", "had12", "--out", "x"],
+    ],
+)
+def test_unread_flags_are_rejected(argv):
+    # A flag the command would ignore is a usage error, not a silent no-op.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_generate_bad_args_exit_codes(tmp_path):
     # argparse usage error: missing required --n
     with pytest.raises(SystemExit) as exc:
@@ -499,7 +516,7 @@ def test_rerun_missing_manifest(tmp_path):
 @pytest.mark.parametrize(
     "cmd,flags",
     [
-        (["generate"], ["--n", "--count", "--p", "--seed", "--threads", "--out"]),
+        (["generate"], ["--n", "--count", "--p", "--seed", "--out"]),
         (["solve"], ["--instances", "--solver", "--steps", "--checkpoint",
                      "--reference", "--record-trajectory", "--fp64-check"]),
         (["train"], ["--data", "--epochs", "--batch-size", "--episode-length",

@@ -8,6 +8,7 @@ import pytest
 
 from sawt_qap import _kernels as K
 from sawt_qap.core import generate_instance
+from sawt_qap.solvers import default_tenure
 from helpers import (
     all_swap_deltas_loop,
     brute_force_loop,
@@ -31,16 +32,18 @@ class TestBackendAgreement:
             assert b == pytest.approx(a, rel=1e-12)
 
     def test_swap_delta_and_matrix(self, rng):
-        inst = random_asymmetric_instance(rng, 9)
-        sigma = rng.permutation(9).astype(np.int64)
-        mat_np = K.all_swap_deltas(inst.flow, inst.distance, sigma)
-        mat_loop = all_swap_deltas_loop(inst.flow, inst.distance, sigma)
-        assert np.allclose(mat_np, mat_loop, rtol=1e-10, atol=1e-12)
-        for i in range(9):
-            for j in range(i + 1, 9):
-                a = K.swap_delta(inst.flow, inst.distance, sigma, i, j)
-                b = swap_delta_loop(inst.flow, inst.distance, sigma, i, j)
-                assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
+        for n in (2, 3, 5, 9, 17):
+            inst = random_asymmetric_instance(rng, n)
+            sigma = rng.permutation(n).astype(np.int64)
+            mat_np = K.all_swap_deltas(inst.flow, inst.distance, sigma)
+            mat_loop = all_swap_deltas_loop(inst.flow, inst.distance, sigma)
+            assert np.allclose(mat_np, mat_loop, rtol=1e-10, atol=1e-12), n
+            assert np.all(np.diag(mat_np) == 0.0)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    a = K.swap_delta(inst.flow, inst.distance, sigma, i, j)
+                    b = swap_delta_loop(inst.flow, inst.distance, sigma, i, j)
+                    assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
 
     def test_greedy_identical_on_integer_data(self, rng):
         # Integer-valued instances make both paths' arithmetic exact, so the
@@ -55,14 +58,26 @@ class TestBackendAgreement:
             assert st_loop == st_np
 
     def test_tabu_identical_on_integer_data(self, rng):
-        for _ in range(3):
-            inst = random_integer_instance(rng, 9)
-            start = rng.permutation(9).astype(np.int64)
-            out_loop = tabu_loop(inst.flow, inst.distance, start, 300, 7, True)
-            out_np = K.tabu(inst.flow, inst.distance, start, 300, 7, True)
-            assert np.array_equal(out_loop[0], out_np[0])
-            assert out_loop[1] == out_np[1]
-            assert np.array_equal(out_loop[4], out_np[4])
+        # Integer data keeps the maintained delta table exact, so every output
+        # must equal the oracle's bit for bit, across several refreshes.
+        steps = 3 * K._REFRESH_STEPS + 7
+        for n in (2, 3, 9, 20):
+            for symmetric in (True, False):
+                inst = random_integer_instance(rng, n, symmetric=symmetric)
+                start = rng.permutation(n).astype(np.int64)
+                for tenure in (0, default_tenure(n)):
+                    for aspiration in (True, False):
+                        args = (inst.flow, inst.distance, start, steps, tenure, aspiration)
+                        for got, want in zip(K.tabu(*args), tabu_loop(*args)):
+                            assert np.array_equal(got, want), (n, symmetric, tenure, aspiration)
+
+    def test_tabu_float_drift(self, rng):
+        # Costs are running sums of maintained deltas; a refresh bounds drift.
+        inst = random_asymmetric_instance(rng, 60)
+        start = rng.permutation(60).astype(np.int64)
+        best, best_cost, cur, cur_cost, _ = K.tabu(inst.flow, inst.distance, start, 1000, 15, True)
+        assert best_cost == pytest.approx(K.objective(inst.flow, inst.distance, best), rel=1e-9)
+        assert cur_cost == pytest.approx(K.objective(inst.flow, inst.distance, cur), rel=1e-9)
 
     def test_brute_force_agreement(self, rng):
         inst = random_asymmetric_instance(rng, 7)
