@@ -52,7 +52,7 @@ def bench_one(n: int, tabu_steps: int, repeats: int, rng: np.random.Generator) -
         ("swap_delta", lambda: K.swap_delta(flow, distance, sigma, i, j), None),
         ("all_swap_deltas", lambda: K.all_swap_deltas(flow, distance, sigma), None),
         ("greedy", lambda: K.greedy(flow, distance, sigma, 10_000), greedy_steps),
-        ("tabu", lambda: K.tabu(flow, distance, sigma, tabu_steps, tenure, True), tabu_steps),
+        ("tabu", lambda: K.tabu(flow, distance, sigma, tabu_steps, tenure), tabu_steps),
     ]
     if n <= BRUTE_FORCE_MAX_N:
         cases.append(("brute_force", lambda: K.brute_force(flow, distance), None))

@@ -128,7 +128,7 @@ def exact_optimum(flow: np.ndarray, distance: np.ndarray) -> tuple[np.ndarray, f
     bound = np.inf
     for _ in range(8):
         start = rng.permutation(n).astype(np.int64)
-        _, cost, _, _, _ = kernels.tabu(flow, distance, start, 2000, 7, True)
+        _, cost, _, _, _ = kernels.tabu(flow, distance, start, 2000, 7)
         bound = min(bound, cost)
     # The relabel decides which tied optimum ships: exact search returns the
     # lexicographically smallest optimum of the relabeled instance, and had12

@@ -29,7 +29,9 @@ import numpy as np
 # Tabu recomputes its maintained C = F P^T + F^T P from scratch this often.
 _REFRESH_STEPS = 50
 # Exact search keeps every leaf within this relative distance of the incumbent,
-# so summation-order rounding can never prune a true tie.
+# so summation-order rounding can never prune a true tie; tabu's aspiration
+# needs a move to beat the best by more than it, so rounding never admits one
+# that only ties.
 _TIE_RTOL = 1e-9
 # Float64 entries of the widest bound array one block expansion may build.
 _BLOCK_ENTRIES = 1 << 16
@@ -105,7 +107,7 @@ def greedy(flow, distance, sigma, max_steps):
     return sigma, cost, steps
 
 
-def tabu(flow, distance, sigma, max_steps, tenure, aspiration):
+def tabu(flow, distance, sigma, max_steps, tenure):
     """Tabu search step loop at O(n^2) per step.
 
     See :func:`sawt_qap.solvers.tabu_search` for the semantics.  Returns
@@ -132,10 +134,8 @@ def tabu(flow, distance, sigma, max_steps, tenure, aspiration):
         if (step - 1) % _REFRESH_STEPS == 0:
             cross = _cross(flow, perm_d)
         deltas = flow_pairs * _pair_sums(perm_d) - _pair_sums(cross)
-        admissible = expiry < step
-        if aspiration:
-            admissible |= current_cost + deltas < best_cost
-        admissible &= upper
+        aspire = best_cost - _TIE_RTOL * abs(best_cost)
+        admissible = ((expiry < step) | (current_cost + deltas < aspire)) & upper
         if admissible.any():
             masked = np.where(admissible, deltas, np.inf)
         else:
@@ -206,7 +206,7 @@ def brute_force(flow, distance, init_bound=np.inf):
         return best_perm, (0.0 if 0.0 < best else best), 0
     upper = best
     if n >= 2:
-        incumbent = tabu(flow, distance, np.arange(n), 10 * n, max(1, n // 2), True)[0]
+        incumbent = tabu(flow, distance, np.arange(n), 10 * n, max(1, n // 2))[0]
         upper = min(upper, float(_perm_costs(flow, distance, incumbent[None])[0]))
     order = np.argsort(-(flow.sum(axis=0) + flow.sum(axis=1)), kind="stable")
     # step[d][l, v, l2]: what placing facility order[d] at location l adds to

@@ -662,12 +662,19 @@ def _run_flags(sub: argparse.ArgumentParser) -> None:
                      help="run directory; receives manifest.json and results")
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    _run_flags(sub)
+def _threads_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, default=1,
                      help="worker threads across instances (default: 1)")
+
+
+def _config_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=str, default=None,
                      help="JSON config file with 'train'/'model'/'data' sections")
+
+
+def _solve_flags(sub: argparse.ArgumentParser) -> None:
+    _run_flags(sub)
+    _threads_flag(sub)
     sub.add_argument("--fp64-check", action="store_true",
                      help="re-verify every reported cost with a float64 "
                           "objective recomputation (exit 4 on mismatch)")
@@ -717,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-trajectory", action="store_true",
                    help="store a downsampled best-cost trajectory per instance "
                         "in results.jsonl (tabu only)")
-    _common_flags(p)
+    _solve_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser(
@@ -745,7 +752,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-steps", dest="eval_steps", type=int, default=None)
     p.add_argument("--resume", type=str, default=None,
                    help="checkpoint to resume from (continues epoch numbering)")
-    _common_flags(p)
+    _run_flags(p)
+    _threads_flag(p)
+    _config_flag(p)
     p.set_defaults(func=cmd_train, seed=None)
 
     p = subs.add_parser("qaplib", help="QAPLIB data commands")
@@ -778,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--steps", type=int, default=5000,
                     help="search budget (default: 5000)")
     pb.add_argument("--data-dir", type=str, default=None, help="QAPLIB cache directory")
-    _common_flags(pb)
+    _solve_flags(pb)
     pb.set_defaults(func=cmd_qaplib_bench)
 
     p = subs.add_parser(
@@ -788,7 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "(or defaults).",
     )
     p.add_argument("--checkpoint", type=str, default=None, help="saved policy to describe")
-    _common_flags(p)
+    _run_flags(p)
+    _config_flag(p)
     p.set_defaults(func=cmd_describe)
 
     p = subs.add_parser(

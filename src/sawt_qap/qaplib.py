@@ -8,8 +8,9 @@ File format (whitespace-token based, newlines not significant):
   permutation (0- or 1-based; detected automatically).
 
 Instance files are looked up in this order: an explicit directory argument,
-the ``SAWT_QAP_DATA_DIR`` environment variable, the bundled fixture set, and
-finally the user cache directory that :func:`fetch` downloads into.
+then the ``SAWT_QAP_DATA_DIR`` environment variable or, when it is unset, the
+user cache directory that :func:`fetch` downloads into, and finally the
+bundled fixture set.
 """
 
 from __future__ import annotations

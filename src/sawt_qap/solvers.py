@@ -1,14 +1,13 @@
 """Classical QAP solvers: exact search, 2-swap descent, tabu, spectral.
 
-All solvers are deterministic given their inputs (and config seeds); ties in
-move selection are broken lexicographically by facility pair.  The step loops
-run on the kernels in :mod:`sawt_qap._kernels`.
+All solvers are deterministic given their inputs; ties in move selection are
+broken lexicographically by facility pair.  The step loops run on the kernels
+in :mod:`sawt_qap._kernels`.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,22 +19,17 @@ from .core import (
     QapInstance,
     identity_assignment,
     objective,
-    random_assignment,
 )
 from .errors import SizeLimitError, ValidationError
 
 __all__ = [
     "BRUTE_FORCE_MAX_N",
-    "ASSOCIATION_MAX_N",
     "TabuConfig",
     "SpectralResult",
     "brute_force",
     "greedy_descent",
     "tabu_search",
-    "tabu_multistart",
     "default_tenure",
-    "association_graph",
-    "power_iteration",
     "hungarian_projection",
     "spectral_matching",
 ]
@@ -43,7 +37,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 BRUTE_FORCE_MAX_N = 10
-ASSOCIATION_MAX_N = 32
 
 
 def brute_force(inst: QapInstance) -> Assignment:
@@ -109,16 +102,10 @@ class TabuConfig:
         max_steps: Number of moves to apply (every step applies one swap).
         tenure: Steps a just-applied pair stays tabu; ``None`` resolves to
             :func:`default_tenure` for the instance at hand.
-        aspiration: Admit a tabu move when it would beat the global best.
-        rng_seed: Seed for derived randomness (the core loop is
-            deterministic and consumes none; restarts draw their starting
-            permutations from this seed).
     """
 
     max_steps: int = 5000
     tenure: int | None = None
-    aspiration: bool = True
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.max_steps < 0:
@@ -136,10 +123,12 @@ def tabu_search(
     """Tabu search over the 2-swap neighborhood; returns the best found.
 
     Every step applies the best admissible swap — admissible meaning the
-    pair is not tabu, or (with aspiration) the move would beat the global
-    best.  Applied pairs become tabu for ``tenure`` steps.  If every move is
-    tabu and none aspirates, the best tabu move is applied so the search
-    keeps moving.  Deterministic; ties break lexicographically.
+    pair is not tabu, or the move would beat the global best by more than a
+    relative 1e-9 (aspiration; the margin keeps out a move back to the best
+    permutation, which only ties it, however it rounds).  Applied pairs
+    become tabu for ``tenure`` steps.  If every move is tabu and none
+    aspirates, the best tabu move is applied so the search keeps moving.
+    Deterministic; ties break lexicographically.
 
     Args:
         inst: Problem instance.
@@ -155,7 +144,7 @@ def tabu_search(
         start = identity_assignment(inst)
     tenure = cfg.tenure if cfg.tenure is not None else default_tenure(inst.n)
     best_sigma, best_cost, _cur, _cur_cost, history = _kernels.tabu(
-        inst.flow, inst.distance, start.sigma, cfg.max_steps, tenure, cfg.aspiration
+        inst.flow, inst.distance, start.sigma, cfg.max_steps, tenure
     )
     best = Assignment(best_sigma, best_cost)
     if start.cost <= best_cost:  # max_steps == 0 or the start was never beaten
@@ -165,74 +154,9 @@ def tabu_search(
     return best
 
 
-def tabu_multistart(
-    inst: QapInstance, restarts: int = 10, config: TabuConfig | None = None
-) -> Assignment:
-    """Best of ``restarts`` tabu runs from seeded random starts.
-
-    Start permutations are drawn from a PCG64 generator seeded with
-    ``config.rng_seed``, so the whole procedure is reproducible.
-    """
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    cfg = config or TabuConfig()
-    rng = np.random.Generator(np.random.PCG64(cfg.rng_seed))
-    best: Assignment | None = None
-    for _ in range(restarts):
-        start = random_assignment(inst, rng)
-        cand = tabu_search(inst, start=start, config=cfg)
-        if best is None or cand.cost < best.cost:
-            best = cand
-    return best
-
-
 # ---------------------------------------------------------------------------
-# Spectral matching on the association graph.
+# Spectral matching, matrix-free.
 # ---------------------------------------------------------------------------
-
-
-def association_graph(inst: QapInstance) -> np.ndarray:
-    """Association (compatibility) matrix ``K = kron(F, D)``.
-
-    Row-major pair indexing: entry ``[(i * n + a), (j * n + b)]`` equals
-    ``F[i, j] * D[a, b]``, so for a permutation matrix ``X``,
-    ``vec(X) @ K @ vec(X)`` is the assignment objective.
-
-    Raises:
-        SizeLimitError: If ``inst.n > 32`` (K is n^2 x n^2 dense).
-    """
-    if inst.n > ASSOCIATION_MAX_N:
-        raise SizeLimitError(
-            f"association graph is limited to n <= {ASSOCIATION_MAX_N}, got {inst.n}"
-        )
-    return np.kron(inst.flow, inst.distance)
-
-
-def power_iteration(
-    k: np.ndarray, tol: float = 1e-8, max_iter: int = 1000
-) -> tuple[np.ndarray, int, bool]:
-    """Leading eigenvector of a non-negative matrix by power iteration.
-
-    Starts from the normalized ones vector (deterministic); iterates
-    ``v <- K v / ||K v||`` until the L2 change drops below ``tol``.  A zero
-    matrix (or zero iterate) returns the start vector immediately — there is
-    no meaningful direction to find.
-
-    Returns:
-        ``(vector, iterations, converged)``.
-    """
-    m = k.shape[0]
-    v = np.full(m, 1.0 / math.sqrt(m))
-    for it in range(1, max_iter + 1):
-        w = k @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return v, it, True
-        w /= norm
-        if float(np.linalg.norm(w - v)) < tol:
-            return w, it, True
-        v = w
-    return v, max_iter, False
 
 
 def hungarian_projection(scores: np.ndarray) -> np.ndarray:
@@ -251,8 +175,9 @@ class SpectralResult:
         assignment: Feasible assignment after Hungarian projection.
         iterations: Power-iteration count consumed.
         converged: Whether the tolerance was met within the budget.
-        scores: The (n, n) relaxed score matrix (leading eigenvector,
-            reshaped row-major; non-negative).
+        scores: The (n, n) relaxed score matrix: the leading eigenvector of
+            ``kron(F, D)`` reshaped row-major, unit Frobenius norm,
+            non-negative.
     """
 
     assignment: Assignment
@@ -266,24 +191,36 @@ def spectral_matching(
 ) -> SpectralResult:
     """Spectral relaxation baseline: leading eigenvector + projection.
 
-    Builds the association matrix ``kron(F, D)``, takes its leading
-    eigenvector (a relaxed facility-location score), reshapes to (n, n), and
-    projects to a feasible permutation with the Hungarian method on the
-    negated scores.  Non-convergence is logged and the best iterate is still
-    projected.
+    The scores are the leading eigenvector of the association matrix
+    ``K = kron(F, D)`` (Leordeanu & Hebert 2005), reshaped row-major to
+    (n, n).  ``K`` is never built: ``K vec(V) = vec(F V D^T)``, so power
+    iteration runs ``V <- F V D^T / ||F V D^T||`` at O(n^3) time and O(n^2)
+    memory per step.  It starts from ``1/n`` everywhere and stops when the
+    Frobenius change drops below ``tol``; an all-zero product (a zero flow,
+    say) stops it on the current iterate.  The scores are projected to a
+    permutation with the Hungarian method on their negation.
+    Non-convergence is logged and the last iterate is still projected.
     """
-    k = association_graph(inst)
-    vec, iters, converged = power_iteration(k, tol=tol, max_iter=max_iter)
+    v = np.full((inst.n, inst.n), 1.0 / inst.n)
+    iters, converged = 0, False
+    while not converged and iters < max_iter:
+        iters += 1
+        w = inst.flow @ v @ inst.distance.T
+        norm = float(np.linalg.norm(w))
+        converged = norm == 0.0  # a zero iterate has no direction to find
+        if not converged:
+            w /= norm
+            converged = float(np.linalg.norm(w - v)) < tol
+            v = w
     if not converged:
         logger.warning(
             "power iteration did not converge on %s after %d iterations; "
             "projecting the last iterate", inst.name, iters,
         )
-    scores = vec.reshape(inst.n, inst.n)
-    sigma = hungarian_projection(scores)
+    sigma = hungarian_projection(v)
     return SpectralResult(
         assignment=Assignment(sigma, objective(inst, sigma)),
         iterations=iters,
         converged=converged,
-        scores=scores,
+        scores=v,
     )

@@ -136,7 +136,7 @@ def greedy_loop(flow, distance, sigma, max_steps):
     return sigma, cost, steps
 
 
-def tabu_loop(flow, distance, sigma, max_steps, tenure, aspiration):
+def tabu_loop(flow, distance, sigma, max_steps, tenure):
     n = sigma.shape[0]
     current = sigma.copy()
     current_cost = objective_loop(flow, distance, current)
@@ -159,8 +159,9 @@ def tabu_loop(flow, distance, sigma, max_steps, tenure, aspiration):
                     esc_i = i
                     esc_j = j
                 admissible = expiry[i, j] < step
-                if not admissible and aspiration:
-                    admissible = current_cost + d < best_cost
+                if not admissible:
+                    # Aspiration: beat the best by more than a relative 1e-9.
+                    admissible = current_cost + d < best_cost - 1e-9 * abs(best_cost)
                 if admissible and d < pick_delta:
                     pick_delta = d
                     pick_i = i

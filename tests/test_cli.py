@@ -86,6 +86,11 @@ def test_generate_refuses_existing_manifest(tmp_path, capsys):
         ["generate", "--n", "4", "--config", "c.json"],
         ["qaplib", "fetch", "had12", "--seed", "1"],
         ["qaplib", "fetch", "had12", "--out", "x"],
+        ["solve", "--instances", "x", "--solver", "tabu", "--config", "c.json"],
+        ["qaplib", "bench", "had12", "--config", "c.json"],
+        ["train", "--fp64-check"],
+        ["describe", "--threads", "2"],
+        ["describe", "--fp64-check"],
     ],
 )
 def test_unread_flags_are_rejected(argv):
@@ -237,6 +242,17 @@ def test_solve_dat_input(tmp_path):
                  "--steps", "50", "--reference", "none", "--out", str(out)]) == 0
     rows = read_csv(out / "results.csv")
     assert rows[0]["instance"] == "had12"
+
+
+def test_solve_sm_has_no_size_limit(tmp_path):
+    gen = tmp_path / "gen"
+    assert main(["generate", "--n", "40", "--count", "2", "--seed", "4",
+                 "--out", str(gen)]) == 0
+    out = tmp_path / "run"
+    assert main(["solve", "--instances", str(gen), "--solver", "sm",
+                 "--reference", "none", "--out", str(out)]) == 0
+    rows = read_csv(out / "results.csv")
+    assert len(rows) == 2 and all(float(row["best_cost"]) > 0.0 for row in rows)
 
 
 def test_solve_missing_inputs_and_checkpoint(gen_dir, tmp_path, capsys):

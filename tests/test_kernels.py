@@ -66,16 +66,15 @@ class TestBackendAgreement:
                 inst = random_integer_instance(rng, n, symmetric=symmetric)
                 start = rng.permutation(n).astype(np.int64)
                 for tenure in (0, default_tenure(n)):
-                    for aspiration in (True, False):
-                        args = (inst.flow, inst.distance, start, steps, tenure, aspiration)
-                        for got, want in zip(K.tabu(*args), tabu_loop(*args)):
-                            assert np.array_equal(got, want), (n, symmetric, tenure, aspiration)
+                    args = (inst.flow, inst.distance, start, steps, tenure)
+                    for got, want in zip(K.tabu(*args), tabu_loop(*args)):
+                        assert np.array_equal(got, want), (n, symmetric, tenure)
 
     def test_tabu_float_drift(self, rng):
         # Costs are running sums of maintained deltas; a refresh bounds drift.
         inst = random_asymmetric_instance(rng, 60)
         start = rng.permutation(60).astype(np.int64)
-        best, best_cost, cur, cur_cost, _ = K.tabu(inst.flow, inst.distance, start, 1000, 15, True)
+        best, best_cost, cur, cur_cost, _ = K.tabu(inst.flow, inst.distance, start, 1000, 15)
         assert best_cost == pytest.approx(K.objective(inst.flow, inst.distance, best), rel=1e-9)
         assert cur_cost == pytest.approx(K.objective(inst.flow, inst.distance, cur), rel=1e-9)
 
@@ -161,7 +160,7 @@ class TestTabuSemanticsKernelLevel:
     def test_history_monotone(self, rng):
         inst = random_integer_instance(rng, 12)
         start = rng.permutation(12).astype(np.int64)
-        _, best_cost, _, _, hist = K.tabu(inst.flow, inst.distance, start, 400, 7, True)
+        _, best_cost, _, _, hist = K.tabu(inst.flow, inst.distance, start, 400, 7)
         assert np.all(np.diff(hist) <= 0.0)
         assert hist[-1] == best_cost
 
