@@ -431,8 +431,9 @@ def _resolve_train_config(args) -> tuple[TrainConfig, SawtConfig, dict]:
         value = getattr(args, key, None)
         if value is not None:
             train_kwargs[key] = value
-    if args.seed is not None:
-        train_kwargs["seed"] = args.seed
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        train_kwargs["seed"] = seed
     model_kwargs = dict(file_cfg.get("model", {}))
     data = {**_DATA_DEFAULTS, **file_cfg.get("data", {})}
     for key in _DATA_KEYS:
@@ -797,7 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "(or defaults).",
     )
     p.add_argument("--checkpoint", type=str, default=None, help="saved policy to describe")
-    _run_flags(p)
     _config_flag(p)
     p.set_defaults(func=cmd_describe)
 

@@ -7,11 +7,19 @@ is the clipped one-step improvement of the incumbent,
 ``max(0, best_cost - new_cost)``, so episode return telescopes to the total
 improvement of the best-so-far cost.
 
-Updates are n-step REINFORCE with a learned baseline: returns are truncated
-discounted sums over a sliding window (no bootstrap from the critic), the
-advantage is return minus the detached critic value, and entropy is rewarded
-with a coefficient that decays geometrically per epoch.  One Adam step is
-taken per collected batch of episodes.
+Updates are n-step REINFORCE (Williams 1992) with a learned baseline:
+returns are truncated discounted sums over a sliding window with no bootstrap
+from the critic, as in n-step actor-critic (Mnih et al. 2016), the advantage
+is return minus the detached critic value, and entropy is rewarded with a
+coefficient that decays geometrically per epoch.  One Adam step is taken per
+batch of episodes.
+
+Because nothing is bootstrapped, step t's loss term is fixed once reward
+t + w - 1 is known (w = ``return_window``).  :func:`reinforce_update`
+therefore streams: it rolls out and back-propagates in one loop, freeing each
+step's graph as soon as its return is complete, so at most w + 1 step graphs
+are alive at once instead of the whole episode's.  :func:`collect_rollouts`
+serves the no-grad :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -226,65 +235,110 @@ class TrainConfig:
         return dataclasses.asdict(self)
 
 
+def _step_term(out, G: np.ndarray, value_coef: float, coef: float, scale: float):
+    """Step t's loss term and its (policy, value, entropy) pieces.
+
+    Each piece is summed over the batch and multiplied by ``scale = 1/(T*B)``,
+    so the terms of all T steps add up to the episode loss, whose pieces are
+    means over (T, B).  The advantage ``G - V`` is detached from the critic.
+    """
+    dt = out.value.dtype
+
+    def const(x):
+        return nn.Tensor.const(np.asarray(x, dtype=dt))
+
+    advantage = G - out.value.data.astype(np.float64)
+    policy_piece = nn.neg(nn.tensor_sum(nn.mul(out.log_prob, const(advantage * scale))))
+    err = nn.sub(const(G), out.value)
+    value_piece = nn.mul(nn.tensor_sum(nn.mul(err, err)), const(scale))
+    entropy_piece = nn.mul(nn.tensor_sum(out.entropy), const(scale))
+    term = nn.sub(
+        nn.add(policy_piece, nn.mul(const(value_coef), value_piece)),
+        nn.mul(const(coef), entropy_piece),
+    )
+    return term, policy_piece, value_piece, entropy_piece
+
+
 def reinforce_update(
     policy: SawtPolicy,
     optimizer: nn.Adam,
-    trajectory: Trajectory,
+    batch: InstanceBatch,
     config: TrainConfig,
+    rng,
     epoch: int = 0,
-) -> dict:
-    """One gradient step from a collected trajectory; returns loss metrics.
+) -> tuple[dict, SearchState]:
+    """Roll out one episode batch and take one gradient step; returns (metrics, final state).
 
     Loss = -E[log pi * (G - V)] - beta * decay^epoch * E[H] + zeta * E[(G - V)^2],
-    with the advantage detached from the critic.  A non-finite loss aborts
-    with :class:`NumericalAbortError` carrying component diagnostics.
+    means over the T = ``episode_length`` steps and the batch, with the
+    advantage detached from the critic.  Rollout and backward are streamed:
+    the episode runs on leaf copies of the batch embeddings, and step t's term
+    is back-propagated (and its graph dropped) as soon as reward
+    t + ``return_window`` - 1 fixes its return, so at most ``return_window`` + 1
+    step graphs are alive at once.  The accumulated leaf gradients then seed
+    one backward through the embedding encoders before the single Adam step.
+
+    A non-finite loss or gradient aborts with :class:`NumericalAbortError`
+    carrying component diagnostics, before the optimizer steps; parameter
+    gradients are cleared on every exit.
     """
-    returns = compute_returns(trajectory.rewards, config.gamma, config.return_window)
-    logp = nn.stack(trajectory.log_probs, axis=0)  # (T, B)
-    values = nn.stack(trajectory.values, axis=0)  # (T, B)
-    entropy = nn.stack(trajectory.entropies, axis=0)  # (T, B)
-    dt = logp.dtype
-    advantage = returns - values.data.astype(np.float64)  # detached baseline
+    T, B, window, gamma = config.episode_length, batch.size, config.return_window, config.gamma
     coef = config.entropy_beta * config.entropy_decay**epoch
-
-    policy_term = nn.neg(nn.mean(nn.mul(logp, nn.Tensor.const(advantage.astype(dt)))))
-    entropy_term = nn.mean(entropy)
-    err = nn.sub(nn.Tensor.const(returns.astype(dt)), values)
-    value_term = nn.mean(nn.mul(err, err))
-    loss = nn.sub(
-        nn.add(policy_term, nn.mul(nn.Tensor.const(np.asarray(config.value_coef, dtype=dt)), value_term)),
-        nn.mul(nn.Tensor.const(np.asarray(coef, dtype=dt)), entropy_term),
-    )
-
-    metrics = {
-        "loss": float(loss.data),
-        "policy_loss": float(policy_term.data),
-        "value_loss": float(value_term.data),
-        "entropy": float(entropy_term.data),
-        "entropy_coef": float(coef),
-        "mean_return": float(returns.mean()),
-        "mean_reward": float(trajectory.rewards.mean()),
-    }
-    if not all(np.isfinite(v) for v in metrics.values()):
-        raise NumericalAbortError(
-            "non-finite loss during policy update", diagnostics={"epoch": epoch, **metrics}
-        )
-
+    scale = 1.0 / (T * B)
+    fac_leaf = nn.Tensor(batch.fac_emb.data, requires_grad=True)
+    loc_leaf = nn.Tensor(batch.loc_emb.data, requires_grad=True)
+    leaf_batch = dataclasses.replace(batch, fac_emb=fac_leaf, loc_emb=loc_leaf)
+    state = reset_state(leaf_batch, init=config.init, rng=rng)
+    sums = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "return": 0.0, "reward": 0.0}
+    pending: deque = deque()  # [ActionOutput, partial return] of steps awaiting rewards
     optimizer.zero_grad()
-    loss.backward()
-    grad_sq = 0.0
-    for t in policy.params.values():
-        if t.grad is not None:
-            grad_sq += float(np.sum(t.grad.astype(np.float64) ** 2))
-    metrics["grad_norm"] = float(np.sqrt(grad_sq))
-    if not np.isfinite(metrics["grad_norm"]):
-        raise NumericalAbortError(
-            "non-finite gradient during policy update",
-            diagnostics={"epoch": epoch, **metrics},
-        )
-    optimizer.step()
-    optimizer.zero_grad()
-    return metrics
+    try:
+        for t in range(T):
+            out = policy.act(leaf_batch, state.sigma, state.best_sigma, rng=rng)
+            state, rewards = step_state(leaf_batch, state, out.swaps)
+            sums["reward"] += float(rewards.sum())
+            pending.append([out, np.zeros(B)])
+            for age, item in enumerate(reversed(pending)):
+                item[1] += gamma**age * rewards
+            # The oldest step's window is complete, or the episode is over.
+            while pending and (len(pending) == window or t == T - 1):
+                out, G = pending.popleft()
+                term, *pieces = _step_term(out, G, config.value_coef, coef, scale)
+                term.backward()
+                for key, piece in zip(("policy_loss", "value_loss", "entropy"), pieces):
+                    sums[key] += float(piece.data)
+                sums["return"] += float(G.sum())
+
+        metrics = {
+            "loss": sums["policy_loss"] + config.value_coef * sums["value_loss"] - coef * sums["entropy"],
+            "policy_loss": sums["policy_loss"],
+            "value_loss": sums["value_loss"],
+            "entropy": sums["entropy"],
+            "entropy_coef": float(coef),
+            "mean_return": sums["return"] * scale,
+            "mean_reward": sums["reward"] * scale,
+        }
+        if not all(np.isfinite(v) for v in metrics.values()):
+            raise NumericalAbortError(
+                "non-finite loss during policy update", diagnostics={"epoch": epoch, **metrics}
+            )
+        for emb, leaf in ((batch.fac_emb, fac_leaf), (batch.loc_emb, loc_leaf)):
+            if leaf.grad is not None:
+                emb.backward(seed=leaf.grad)
+        grad_sq = 0.0
+        for p in policy.params.values():
+            if p.grad is not None:
+                grad_sq += float(np.sum(p.grad.astype(np.float64) ** 2))
+        metrics["grad_norm"] = float(np.sqrt(grad_sq))
+        if not np.isfinite(metrics["grad_norm"]):
+            raise NumericalAbortError(
+                "non-finite gradient during policy update",
+                diagnostics={"epoch": epoch, **metrics},
+            )
+        optimizer.step()
+    finally:
+        optimizer.zero_grad()
+    return metrics, state
 
 
 @dataclass
@@ -413,13 +467,9 @@ def train(
                     idxs.append(order[start])
                     start += 1
                 batch = policy.embed_instances([instances[i] for i in idxs], rng)
-                traj = collect_rollouts(
-                    policy, batch, config.episode_length, rng, init=config.init
-                )
-                epoch_metrics.append(
-                    reinforce_update(policy, optimizer, traj, config, epoch)
-                )
-                best_costs.extend(traj.final_state.best_cost.tolist())
+                metrics, final = reinforce_update(policy, optimizer, batch, config, rng, epoch)
+                epoch_metrics.append(metrics)
+                best_costs.extend(final.best_cost.tolist())
             row = {
                 "epoch": epoch,
                 "updates": len(epoch_metrics),

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from sawt_qap import nn
 from sawt_qap.core import QapInstance
+from sawt_qap.errors import NumericalAbortError
+from sawt_qap.rl import collect_rollouts, compute_returns
 
 
 def naive_objective(flow, distance, sigma) -> float:
@@ -248,3 +251,53 @@ def brute_force_loop(flow, distance, init_bound):
         k += 1
         cand[k] = 0
     return best_perm, best, leaves
+
+
+# ---------------------------------------------------------------------------
+# Whole-graph reference for the streamed ``sawt_qap.rl.reinforce_update``:
+# same signature and return values, but all T step graphs are kept alive and
+# the episode loss is back-propagated once.
+# ---------------------------------------------------------------------------
+
+
+def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
+    traj = collect_rollouts(policy, batch, config.episode_length, rng, init=config.init)
+    returns = compute_returns(traj.rewards, config.gamma, config.return_window)
+    logp = nn.stack(traj.log_probs, axis=0)  # (T, B)
+    values = nn.stack(traj.values, axis=0)  # (T, B)
+    entropy = nn.stack(traj.entropies, axis=0)  # (T, B)
+    dt = logp.dtype
+    advantage = returns - values.data.astype(np.float64)  # detached baseline
+    coef = config.entropy_beta * config.entropy_decay**epoch
+
+    policy_term = nn.neg(nn.mean(nn.mul(logp, nn.Tensor.const(advantage.astype(dt)))))
+    entropy_term = nn.mean(entropy)
+    err = nn.sub(nn.Tensor.const(returns.astype(dt)), values)
+    value_term = nn.mean(nn.mul(err, err))
+    loss = nn.sub(
+        nn.add(policy_term, nn.mul(nn.Tensor.const(np.asarray(config.value_coef, dtype=dt)), value_term)),
+        nn.mul(nn.Tensor.const(np.asarray(coef, dtype=dt)), entropy_term),
+    )
+    metrics = {
+        "loss": float(loss.data),
+        "policy_loss": float(policy_term.data),
+        "value_loss": float(value_term.data),
+        "entropy": float(entropy_term.data),
+        "entropy_coef": float(coef),
+        "mean_return": float(returns.mean()),
+        "mean_reward": float(traj.rewards.mean()),
+    }
+    if not all(np.isfinite(v) for v in metrics.values()):
+        raise NumericalAbortError(
+            "non-finite loss during policy update", diagnostics={"epoch": epoch, **metrics}
+        )
+    optimizer.zero_grad()
+    loss.backward()
+    grad_sq = sum(
+        float(np.sum(t.grad.astype(np.float64) ** 2))
+        for t in policy.params.values() if t.grad is not None
+    )
+    metrics["grad_norm"] = float(np.sqrt(grad_sq))
+    optimizer.step()
+    optimizer.zero_grad()
+    return metrics, traj.final_state

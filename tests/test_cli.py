@@ -91,6 +91,8 @@ def test_generate_refuses_existing_manifest(tmp_path, capsys):
         ["train", "--fp64-check"],
         ["describe", "--threads", "2"],
         ["describe", "--fp64-check"],
+        ["describe", "--seed", "5"],
+        ["describe", "--out", "x"],
     ],
 )
 def test_unread_flags_are_rejected(argv):

@@ -222,6 +222,29 @@ def test_diamond_graph_accumulation(rng):
     np.testing.assert_allclose(x.grad, 4.0 * x.data + 3.0, rtol=1e-12)
 
 
+def test_repeated_backward_accumulates_into_leaf(rng):
+    # Streamed training back-propagates one step term at a time into the same
+    # leaves; the leaf gradient must be the sum over the calls.
+    x = leaf(rng, 4)
+    c = rng.standard_normal(4)
+    tensor_sum(mul(x, x)).backward()
+    tensor_sum(mul(x, Tensor.const(c))).backward()
+    np.testing.assert_allclose(x.grad, 2.0 * x.data + c, rtol=1e-12)
+
+
+def test_seeded_backward_equals_weighted_sum(rng):
+    x = leaf(rng, 2, 3)
+    w = leaf(rng, 3, 4)
+    g = rng.standard_normal((2, 4))
+    matmul(x, w).backward(seed=g)
+    seeded = (x.grad.copy(), w.grad.copy())
+    x.zero_grad()
+    w.zero_grad()
+    tensor_sum(mul(matmul(x, w), Tensor.const(g))).backward()
+    np.testing.assert_allclose(x.grad, seeded[0], rtol=1e-12)
+    np.testing.assert_allclose(w.grad, seeded[1], rtol=1e-12)
+
+
 def test_backward_requires_scalar(rng):
     x = leaf(rng, 3)
     with pytest.raises(ValidationError):

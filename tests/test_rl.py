@@ -1,10 +1,14 @@
 """Improvement-search environment and REINFORCE trainer."""
 
+import dataclasses
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from helpers import whole_graph_update
 from sawt_qap import generate_instance, objective
 from sawt_qap.errors import NumericalAbortError, ValidationError
 from sawt_qap.nn import Adam
@@ -156,15 +160,15 @@ def test_reinforce_update_metrics_and_grad(policy, batch):
     rng = np.random.default_rng(2)
     opt = Adam(policy.params, lr=1e-3)
     before = {k: t.data.copy() for k, t in policy.params.items()}
-    traj = collect_rollouts(policy, batch, steps=6, rng=rng)
     config = TrainConfig(epochs=1, batch_size=3, episode_length=6)
-    metrics = reinforce_update(policy, opt, traj, config, epoch=0)
+    metrics, final = reinforce_update(policy, opt, batch, config, rng, epoch=0)
     for key in ("loss", "policy_loss", "value_loss", "entropy", "entropy_coef",
                 "mean_return", "grad_norm"):
         assert np.isfinite(metrics[key]), key
     assert metrics["entropy"] > 0
     assert metrics["entropy_coef"] == pytest.approx(config.entropy_beta)
     assert metrics["grad_norm"] > 0
+    assert final.t == 6
     assert opt.step_count == 1
     changed = any(
         not np.array_equal(before[k], policy.params[k].data) for k in before
@@ -177,11 +181,9 @@ def test_reinforce_update_metrics_and_grad(policy, batch):
 def test_entropy_coefficient_decays(policy, batch):
     rng = np.random.default_rng(3)
     opt = Adam(policy.params, lr=1e-4)
-    config = TrainConfig(epochs=1, entropy_beta=0.01, entropy_decay=0.9)
-    traj = collect_rollouts(policy, batch, steps=4, rng=rng)
-    m0 = reinforce_update(policy, opt, traj, config, epoch=0)
-    traj = collect_rollouts(policy, batch, steps=4, rng=rng)
-    m5 = reinforce_update(policy, opt, traj, config, epoch=5)
+    config = TrainConfig(epochs=1, episode_length=4, entropy_beta=0.01, entropy_decay=0.9)
+    m0, _ = reinforce_update(policy, opt, batch, config, rng, epoch=0)
+    m5, _ = reinforce_update(policy, opt, batch, config, rng, epoch=5)
     assert m0["entropy_coef"] == pytest.approx(0.01)
     assert m5["entropy_coef"] == pytest.approx(0.01 * 0.9**5)
 
@@ -190,13 +192,96 @@ def test_nan_abort_carries_diagnostics(policy, batch):
     rng = np.random.default_rng(4)
     opt = Adam(policy.params, lr=1e-3)
     policy.params["value.l1.w"].data[:] = np.nan
-    traj = collect_rollouts(policy, batch, steps=3, rng=rng)
-    config = TrainConfig(epochs=1)
+    before = {k: t.data.copy() for k, t in policy.params.items()}
+    config = TrainConfig(epochs=1, episode_length=3)
     with pytest.raises(NumericalAbortError) as exc:
-        reinforce_update(policy, opt, traj, config, epoch=2)
+        reinforce_update(policy, opt, batch, config, rng, epoch=2)
     diag = exc.value.diagnostics
     assert diag["epoch"] == 2
     assert "loss" in diag
+    # Aborted before the optimizer step, with no gradient left behind.
+    assert opt.step_count == 0
+    for k, t in policy.params.items():
+        np.testing.assert_array_equal(t.data, before[k])
+        assert t.grad is None, k
+
+
+class _GradRecordingAdam(Adam):
+    """Adam that keeps a copy of the gradients it is asked to apply."""
+
+    def step(self):
+        self.applied = {k: t.grad.copy() for k, t in self.params.items() if t.grad is not None}
+        super().step()
+
+
+@pytest.mark.parametrize(
+    "steps,window",
+    [(5, 1), (6, 3), (4, 8), (1, 4)],
+    ids=["window-1", "window-lt-T", "window-ge-T", "one-step"],
+)
+def test_streamed_update_matches_whole_graph(steps, window):
+    config = TrainConfig(episode_length=steps, return_window=window, entropy_beta=0.01)
+    model = dataclasses.replace(TINY, dtype="float64")
+    instances = [generate_instance(5, seed=200 + k) for k in range(3)]
+    results = []
+    for update in (reinforce_update, whole_graph_update):
+        policy = SawtPolicy(model, seed=0)
+        opt = _GradRecordingAdam(policy.params)
+        rng = np.random.default_rng(5)
+        batch = policy.embed_instances(instances, rng)
+        metrics, final = update(policy, opt, batch, config, rng, epoch=1)
+        results.append((metrics, final, opt.applied))
+    (m_s, final_s, g_s), (m_w, final_w, g_w) = results
+    np.testing.assert_array_equal(final_s.best_sigma, final_w.best_sigma)
+    assert g_s.keys() == g_w.keys()
+    for k in g_w:
+        np.testing.assert_allclose(g_s[k], g_w[k], rtol=0, atol=1e-10, err_msg=k)
+    assert m_s.keys() == m_w.keys()
+    for k in m_w:
+        assert m_s[k] == pytest.approx(m_w[k], rel=1e-10), k
+
+
+def _peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_update_bounds_memory():
+    config = TrainConfig(batch_size=8, episode_length=32, return_window=4)
+    instances = [generate_instance(6, seed=210 + k) for k in range(8)]
+    peaks = []
+    for update in (reinforce_update, whole_graph_update):
+        policy = SawtPolicy(SawtConfig(), seed=0)
+        opt = Adam(policy.params)
+        rng = np.random.default_rng(6)
+        batch = policy.embed_instances(instances, rng)
+        peaks.append(_peak_traced_bytes(lambda: update(policy, opt, batch, config, rng)))
+    streamed, whole = peaks
+    assert streamed * 3 <= whole, f"streamed peak {streamed} B vs whole-graph {whole} B"
+
+    # At most window + 1 step graphs are alive at once.  Tensor has no weakref
+    # slot, so each step is watched through its log-prob array.
+    policy = SawtPolicy(SawtConfig(), seed=0)
+    rng = np.random.default_rng(6)
+    batch = policy.embed_instances(instances, rng)
+    act, refs, live = policy.act, [], []
+
+    def watched_act(*args, **kwargs):
+        out = act(*args, **kwargs)
+        refs.append(weakref.ref(out.log_prob.data))
+        live.append(sum(r() is not None for r in refs))
+        return out
+
+    policy.act = watched_act
+    reinforce_update(policy, Adam(policy.params), batch, config, rng)
+    assert len(refs) == config.episode_length
+    assert max(live) <= config.return_window + 1, live
+    assert all(r() is None for r in refs)
 
 
 # ---------------------------------------------------------------------------
