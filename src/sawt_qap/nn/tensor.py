@@ -10,6 +10,18 @@ shapes.
 Supported dtypes are float32 (training default) and float64 (used by the
 finite-difference test harness).  Graph recording can be suspended with
 :func:`no_grad` for evaluation rollouts.
+
+Most of the cost of a training step is Python work per graph node, so the
+policy's layers are fused: :func:`linear`, :func:`layer_norm` and
+:func:`mixed_attention` (head split, scaled and mixed scores, softmax, value
+product, head merge) each record one node with a hand-written backward.  Their
+forwards evaluate the same numpy expressions, in the same order, as the
+composites of primitives they replace, so outputs are bit-identical to those
+composites.
+
+Operands that are constants get no gradient: ``add``, ``sub``, ``mul``,
+``matmul`` and the fused layers skip the gradient of every operand whose
+``requires_grad`` is unset.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ __all__ = [
     "permute_rows",
     "layer_norm",
     "linear",
+    "mixed_attention",
     "fd_gradient",
     "gradcheck",
 ]
@@ -228,24 +241,36 @@ def _make(data, parents, backward) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g, a.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(g, b.shape)))
+        return grads
 
     return _make(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g, a.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(-g, b.shape)))
+        return grads
 
     return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        return (
-            (a, _unbroadcast(g * b.data, a.shape)),
-            (b, _unbroadcast(g * a.data, b.shape)),
-        )
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g * b.data, a.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(g * a.data, b.shape)))
+        return grads
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -332,9 +357,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValidationError("matmul operands must be at least 2-D")
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)))
+        return grads
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -480,25 +508,106 @@ def permute_rows(a: Tensor, perm: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Composite layers.
+# Fused layers: one graph node each, with a hand-written backward.  Each
+# forward evaluates the same numpy expressions, in the same order, as the
+# composite of primitives it replaces, so its output is bit-identical to it.
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """LayerNorm over the last axis with learnable gain/bias (composite op)."""
-    mu = mean(a, axis=-1, keepdims=True)
-    centered = sub(a, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = div(centered, sqrt(add(var, Tensor.const(np.asarray(eps, dtype=a.dtype)))))
-    return add(mul(inv, gain), bias)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight + bias`` (weight is (in, out))."""
-    out = matmul(x, weight)
+    """Affine map ``x @ weight + bias`` over the last axis (weight is (in, out))."""
+    if x.ndim < 2 or weight.ndim != 2:
+        raise ValidationError("linear needs x of at least 2-D and a 2-D weight")
+    if bias is not None and bias.shape != weight.shape[1:]:
+        raise ValidationError(f"bias shape {bias.shape} does not match weight {weight.shape}")
+    out_data = x.data @ weight.data
     if bias is not None:
-        out = add(out, bias)
-    return out
+        out_data = out_data + bias.data
+
+    def backward(g):
+        grads = []
+        if x.requires_grad:
+            grads.append((x, g @ weight.data.T))
+        g2 = g.reshape(-1, g.shape[-1])
+        if weight.requires_grad:
+            # The batch axes fold into the rows of one 2-D product.
+            grads.append((weight, x.data.reshape(-1, x.shape[-1]).T @ g2))
+        if bias is not None and bias.requires_grad:
+            grads.append((bias, g2.sum(axis=0)))
+        return grads
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _make(out_data, parents, backward)
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """LayerNorm over the last axis with learnable gain/bias (Ba et al. 2016)."""
+    mu = a.data.mean(axis=-1, keepdims=True)
+    centered = a.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    std = np.sqrt(var + np.asarray(eps, dtype=a.dtype))
+    normed = centered / std
+    out_data = normed * gain.data + bias.data
+
+    def backward(g):
+        grads = []
+        if a.requires_grad:
+            gn = g * gain.data
+            gx = gn - gn.mean(axis=-1, keepdims=True)
+            gx -= normed * (gn * normed).mean(axis=-1, keepdims=True)
+            grads.append((a, gx / std))
+        if gain.requires_grad:
+            grads.append((gain, _unbroadcast(g * normed, gain.shape)))
+        if bias.requires_grad:
+            grads.append((bias, _unbroadcast(g, bias.shape)))
+        return grads
+
+    return _make(out_data, (a, gain, bias), backward)
+
+
+def mixed_attention(q: Tensor, k: Tensor, v: Tensor, mix: np.ndarray,
+                    scale: float, n_heads: int) -> Tensor:
+    """Multi-head attention whose scaled scores are multiplied by ``mix``.
+
+    ``q``, ``k`` and ``v`` are (B, n, d) and split into ``n_heads`` heads of
+    width d / n_heads.  ``mix`` is a constant (B, n, n) array shared by all
+    heads (no gradient reaches it).  Per head the output is
+    ``softmax(Q Kᵀ · scale · mix) V``; the heads are merged back to (B, n, d).
+    The backward reuses the stored softmax.
+    """
+    b, n, d = q.shape
+    if d % n_heads:
+        raise ValidationError(f"width {d} is not divisible by n_heads={n_heads}")
+    heads = (b, n, n_heads, d // n_heads)
+    qh = q.data.reshape(heads).transpose(0, 2, 1, 3)
+    kh = k.data.reshape(heads).transpose(0, 2, 1, 3)
+    vh = v.data.reshape(heads).transpose(0, 2, 1, 3)
+    scale_arr = np.asarray(scale, dtype=q.dtype)
+    mix_h = np.asarray(mix, dtype=q.dtype).reshape(b, 1, n, n)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale_arr * mix_h
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    def backward(g):
+        gh = g.reshape(heads).transpose(0, 2, 1, 3)
+        grads = []
+        if v.requires_grad:
+            grads.append((v, merge(att.transpose(0, 1, 3, 2) @ gh)))
+        if q.requires_grad or k.requires_grad:
+            g_att = gh @ vh.transpose(0, 1, 3, 2)
+            g_scores = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True))
+            g_scores *= mix_h
+            g_scores *= scale_arr
+            if q.requires_grad:
+                grads.append((q, merge(g_scores @ kh)))
+            if k.requires_grad:
+                grads.append((k, merge(g_scores.transpose(0, 1, 3, 2) @ qh)))
+        return grads
+
+    return _make(merge(att @ vh), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

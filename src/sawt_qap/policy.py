@@ -231,33 +231,6 @@ class SawtPolicy:
     def _layer_norm(self, name: str, x: Tensor) -> Tensor:
         return nn.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        b, n, _ = x.shape
-        cfg = self.config
-        return nn.transpose(
-            nn.reshape(x, (b, n, cfg.n_heads, cfg.d_head)), (0, 2, 1, 3)
-        )
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        b, _, n, _ = x.shape
-        return nn.reshape(nn.transpose(x, (0, 2, 1, 3)), (b, n, self.config.d_emb))
-
-    @staticmethod
-    def _mixed_attention(q: Tensor, k: Tensor, v: Tensor, mix: Tensor | None,
-                         scale: float, mix_before_softmax: bool = True) -> Tensor:
-        """Multi-head attention with optional elementwise score mixing.
-
-        ``q, k, v`` are (B, h, n, d_head); ``mix`` is (B, 1, n, n) and is
-        multiplied into the scaled scores before the softmax.
-        """
-        scores = nn.mul(
-            nn.matmul(q, nn.transpose(k, (0, 1, 3, 2))),
-            Tensor.const(np.asarray(scale, dtype=q.dtype)),
-        )
-        if mix is not None:
-            scores = nn.mul(scores, mix)
-        return nn.matmul(nn.softmax(scores, axis=-1), v)
-
     # -- instance embedding -------------------------------------------------------
     def embed_instances(self, instances, rng) -> InstanceBatch:
         """Encode a same-size batch of instances (facility + location passes).
@@ -304,15 +277,12 @@ class SawtPolicy:
             pick = rng.permutation(cfg.n_init)[:n]
             onehot[b, np.arange(n), pick] = 1.0
         fac = Tensor.const(onehot)
-        mix = nn.reshape(Tensor.const(flow), (B, 1, n, n))
         in_dim = cfg.n_init
         for blk in range(cfg.fac_blocks):
-            q = self._split_heads(self._linear(f"fac.b{blk}.wq", fac))
-            k = self._split_heads(self._linear(f"fac.b{blk}.wk", fac))
-            v = self._split_heads(self._linear(f"fac.b{blk}.wv", fac))
-            fac = self._merge_heads(
-                self._mixed_attention(q, k, v, mix, 1.0 / np.sqrt(in_dim))
-            )
+            q = self._linear(f"fac.b{blk}.wq", fac)
+            k = self._linear(f"fac.b{blk}.wk", fac)
+            v = self._linear(f"fac.b{blk}.wv", fac)
+            fac = nn.mixed_attention(q, k, v, flow, 1.0 / np.sqrt(in_dim), cfg.n_heads)
             in_dim = cfg.d_emb
         fac = self._linear("fac.out", fac)
         return InstanceBatch(instances, flow, dist, fac, loc)
@@ -343,15 +313,14 @@ class SawtPolicy:
                     "solution-aware matrix does not sum to assignment cost; "
                     f"got {m.sum(axis=(1, 2))}, expected {costs}"
                 )
-        mix = nn.reshape(Tensor.const(m.astype(self._np_dtype)), (batch.size, 1, batch.n, batch.n))
         loc_perm = nn.permute_rows(batch.loc_emb, sigma)
         h = self._linear("enc.fuse", nn.concat([batch.fac_emb, loc_perm], axis=-1))
         scale = 1.0 / np.sqrt(cfg.d_head)
         for l in range(cfg.n_layers):
-            q = self._split_heads(self._linear(f"enc.l{l}.wq", h))
-            k = self._split_heads(self._linear(f"enc.l{l}.wk", h))
-            v = self._split_heads(self._linear(f"enc.l{l}.wv", h))
-            att = self._merge_heads(self._mixed_attention(q, k, v, mix, scale))
+            q = self._linear(f"enc.l{l}.wq", h)
+            k = self._linear(f"enc.l{l}.wk", h)
+            v = self._linear(f"enc.l{l}.wv", h)
+            att = nn.mixed_attention(q, k, v, m, scale, cfg.n_heads)
             h = self._layer_norm(f"enc.l{l}.ln1", nn.add(h, self._linear(f"enc.l{l}.wo", att)))
             ffn = self._linear(f"enc.l{l}.ffn2", nn.relu(self._linear(f"enc.l{l}.ffn1", h)))
             h = self._layer_norm(f"enc.l{l}.ln2", nn.add(h, ffn))

@@ -278,9 +278,11 @@ def reinforce_update(
     step graphs are alive at once.  The accumulated leaf gradients then seed
     one backward through the embedding encoders before the single Adam step.
 
-    A non-finite loss or gradient aborts with :class:`NumericalAbortError`
-    carrying component diagnostics, before the optimizer steps; parameter
-    gradients are cleared on every exit.
+    A non-finite step term aborts with :class:`NumericalAbortError` before it
+    is back-propagated, and so before the rest of the rollout; its diagnostics
+    carry the epoch, the step and the partial sums.  A non-finite gradient
+    aborts likewise before the optimizer steps.  Parameter gradients are
+    cleared on every exit.
     """
     T, B, window, gamma = config.episode_length, batch.size, config.return_window, config.gamma
     coef = config.entropy_beta * config.entropy_decay**epoch
@@ -290,26 +292,9 @@ def reinforce_update(
     leaf_batch = dataclasses.replace(batch, fac_emb=fac_leaf, loc_emb=loc_leaf)
     state = reset_state(leaf_batch, init=config.init, rng=rng)
     sums = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "return": 0.0, "reward": 0.0}
-    pending: deque = deque()  # [ActionOutput, partial return] of steps awaiting rewards
-    optimizer.zero_grad()
-    try:
-        for t in range(T):
-            out = policy.act(leaf_batch, state.sigma, state.best_sigma, rng=rng)
-            state, rewards = step_state(leaf_batch, state, out.swaps)
-            sums["reward"] += float(rewards.sum())
-            pending.append([out, np.zeros(B)])
-            for age, item in enumerate(reversed(pending)):
-                item[1] += gamma**age * rewards
-            # The oldest step's window is complete, or the episode is over.
-            while pending and (len(pending) == window or t == T - 1):
-                out, G = pending.popleft()
-                term, *pieces = _step_term(out, G, config.value_coef, coef, scale)
-                term.backward()
-                for key, piece in zip(("policy_loss", "value_loss", "entropy"), pieces):
-                    sums[key] += float(piece.data)
-                sums["return"] += float(G.sum())
 
-        metrics = {
+    def metrics_so_far() -> dict:
+        return {
             "loss": sums["policy_loss"] + config.value_coef * sums["value_loss"] - coef * sums["entropy"],
             "policy_loss": sums["policy_loss"],
             "value_loss": sums["value_loss"],
@@ -318,10 +303,32 @@ def reinforce_update(
             "mean_return": sums["return"] * scale,
             "mean_reward": sums["reward"] * scale,
         }
-        if not all(np.isfinite(v) for v in metrics.values()):
-            raise NumericalAbortError(
-                "non-finite loss during policy update", diagnostics={"epoch": epoch, **metrics}
-            )
+
+    pending: deque = deque()  # [step, ActionOutput, partial return] of steps awaiting rewards
+    optimizer.zero_grad()
+    try:
+        for t in range(T):
+            out = policy.act(leaf_batch, state.sigma, state.best_sigma, rng=rng)
+            state, rewards = step_state(leaf_batch, state, out.swaps)
+            sums["reward"] += float(rewards.sum())
+            pending.append([t, out, np.zeros(B)])
+            for age, item in enumerate(reversed(pending)):
+                item[2] += gamma**age * rewards
+            # The oldest step's window is complete, or the episode is over.
+            while pending and (len(pending) == window or t == T - 1):
+                step, out, G = pending.popleft()
+                term, *pieces = _step_term(out, G, config.value_coef, coef, scale)
+                for key, piece in zip(("policy_loss", "value_loss", "entropy"), pieces):
+                    sums[key] += float(piece.data)
+                sums["return"] += float(G.sum())
+                if not np.isfinite(term.data):
+                    raise NumericalAbortError(
+                        f"non-finite loss at step {step} of the policy update",
+                        diagnostics={"epoch": epoch, "step": step, **metrics_so_far()},
+                    )
+                term.backward()
+
+        metrics = metrics_so_far()
         for emb, leaf in ((batch.fac_emb, fac_leaf), (batch.loc_emb, loc_leaf)):
             if leaf.grad is not None:
                 emb.backward(seed=leaf.grad)

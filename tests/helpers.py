@@ -301,3 +301,42 @@ def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
     optimizer.step()
     optimizer.zero_grad()
     return metrics, traj.final_state
+
+
+# ---------------------------------------------------------------------------
+# Composite references for the fused layers in ``sawt_qap.nn``: same
+# signatures, built from primitive graph ops, one node per primitive.  Their
+# forwards are the expressions the fused ops must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def linear_composite(x, weight, bias=None):
+    out = nn.matmul(x, weight)
+    if bias is not None:
+        out = nn.add(out, bias)
+    return out
+
+
+def layer_norm_composite(a, gain, bias, eps=1e-5):
+    mu = nn.mean(a, axis=-1, keepdims=True)
+    centered = nn.sub(a, mu)
+    var = nn.mean(nn.mul(centered, centered), axis=-1, keepdims=True)
+    inv = nn.div(centered, nn.sqrt(nn.add(var, nn.Tensor.const(np.asarray(eps, dtype=a.dtype)))))
+    return nn.add(nn.mul(inv, gain), bias)
+
+
+def mixed_attention_composite(q, k, v, mix, scale, n_heads):
+    b, n, d = q.shape
+
+    def split(x):
+        return nn.transpose(nn.reshape(x, (b, n, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+    scores = nn.mul(
+        nn.mul(
+            nn.matmul(split(q), nn.transpose(split(k), (0, 1, 3, 2))),
+            nn.Tensor.const(np.asarray(scale, dtype=q.dtype)),
+        ),
+        nn.reshape(nn.Tensor.const(np.asarray(mix, dtype=q.dtype)), (b, 1, n, n)),
+    )
+    att = nn.matmul(nn.softmax(scores, axis=-1), split(v))
+    return nn.reshape(nn.transpose(att, (0, 2, 1, 3)), (b, n, d))

@@ -38,6 +38,7 @@ from sawt_qap.nn import (
     linear,
     matmul,
     mean,
+    mixed_attention,
     permute_rows,
     softmax,
     stack,
@@ -203,6 +204,10 @@ def _primitive_cases(rng):
     perm = np.stack([rng.permutation(3), rng.permutation(3)])
     away = Tensor.param(rng.standard_normal((3, 4)) + np.sign(rng.standard_normal((3, 4))) * 0.3,
                         name="away")
+    qa = Tensor.param(rng.standard_normal((2, 3, 4)), name="qa")
+    ka = Tensor.param(rng.standard_normal((2, 3, 4)), name="ka")
+    va = Tensor.param(rng.standard_normal((2, 3, 4)), name="va")
+    mix = rng.random((2, 3, 3)) + 0.5
 
     return [
         ("add", lambda: tensor_sum((a + b) * (a + row)), [a, b, row]),
@@ -231,6 +236,8 @@ def _primitive_cases(rng):
         ("permute_rows", lambda: tensor_sum(permute_rows(batch_rows, perm) * bm1), [batch_rows, bm1]),
         ("layer_norm", lambda: tensor_sum(layer_norm(a, g, beta) * b), [a, g, beta, b]),
         ("linear", lambda: tensor_sum(linear(a, w, bias) * 0.3), [a, w, bias]),
+        ("mixed_attention", lambda: tensor_sum(mixed_attention(qa, ka, va, mix, 0.5, 2) * bm1),
+         [qa, ka, va]),
     ]
 
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from helpers import layer_norm_composite, linear_composite, mixed_attention_composite
 from sawt_qap.errors import CheckpointError, ValidationError
 from sawt_qap.nn import (
     Adam,
     Tensor,
+    add,
     broadcast_to,
     concat,
     div,
@@ -17,6 +19,7 @@ from sawt_qap.nn import (
     log,
     matmul,
     mean,
+    mixed_attention,
     mul,
     no_grad,
     permute_rows,
@@ -186,6 +189,13 @@ def test_fd_linear(rng):
     gradcheck(lambda: tensor_sum(mul(linear(x, w, b), linear(x, w, b))), [x, w, b])
 
 
+def test_fd_mixed_attention(rng):
+    q, k, v = leaf(rng, 2, 4, 6), leaf(rng, 2, 4, 6), leaf(rng, 2, 4, 6)
+    w = leaf(rng, 2, 4, 6)
+    mix = np.abs(rng.standard_normal((2, 4, 4))) + 0.5
+    gradcheck(lambda: tensor_sum(mul(mixed_attention(q, k, v, mix, 0.4, 3), w)), [q, k, v, w])
+
+
 def test_fd_composite_attention_like(rng):
     """A transformer-flavoured composite touching most ops at once."""
     x = leaf(rng, 2, 4, 6)
@@ -200,6 +210,100 @@ def test_fd_composite_attention_like(rng):
         return tensor_sum(mul(out, out))
 
     gradcheck(f, [x, wq, wk, wv, m])
+
+
+# ---------------------------------------------------------------------------
+# Fused layers against their composite oracles (tests/helpers.py).
+# ---------------------------------------------------------------------------
+
+
+def _fused_cases(rng, dtype):
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+    mix = (np.abs(rng.standard_normal((2, 5, 5))) + 0.1).astype(dtype)
+    return [
+        ("linear", linear, linear_composite, (t(2, 5, 6), t(6, 4), t(4))),
+        ("linear 2-D, no bias", linear, linear_composite, (t(3, 6), t(6, 4))),
+        ("layer_norm", layer_norm, layer_norm_composite, (t(2, 5, 8), t(8), t(8))),
+        (
+            "mixed_attention",
+            lambda q, k, v: mixed_attention(q, k, v, mix, 1.0 / np.sqrt(4.0), 2),
+            lambda q, k, v: mixed_attention_composite(q, k, v, mix, 1.0 / np.sqrt(4.0), 2),
+            (t(2, 5, 8), t(2, 5, 8), t(2, 5, 8)),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_forward_bit_identical_to_composite(rng, dtype):
+    for name, fused, oracle, inputs in _fused_cases(rng, dtype):
+        got, want = fused(*inputs), oracle(*inputs)
+        assert got._parents == inputs, f"{name} is not one graph node"
+        assert got.dtype == want.dtype == dtype, name
+        np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+
+
+def test_fused_gradients_match_composite(rng):
+    for name, fused, oracle, inputs in _fused_cases(rng, np.float64):
+        grads = []
+        for op in (fused, oracle):
+            out = op(*inputs)
+            for x in inputs:
+                x.zero_grad()
+            out.backward(seed=np.random.default_rng(0).standard_normal(out.shape))
+            grads.append([x.grad for x in inputs])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_linear_rejects_bad_shapes(rng):
+    with pytest.raises(ValidationError):
+        linear(leaf(rng, 3), leaf(rng, 3, 2))
+    with pytest.raises(ValidationError):
+        linear(leaf(rng, 4, 3), leaf(rng, 3, 2), leaf(rng, 3))
+
+
+def test_mixed_attention_rejects_indivisible_heads(rng):
+    q = leaf(rng, 1, 3, 6)
+    with pytest.raises(ValidationError):
+        mixed_attention(q, q, q, np.ones((1, 3, 3)), 1.0, 4)
+
+
+def _const_operand_cases(rng):
+    def rows(*shape):
+        return rng.standard_normal(shape)
+
+    mix = np.abs(rows(2, 3, 3))
+    return [
+        ("add", add, [rows(3, 4), rows(1, 4)]),
+        ("sub", sub, [rows(3, 4), rows(1, 4)]),
+        ("mul", mul, [rows(3, 4), rows(3, 1)]),
+        ("matmul", matmul, [rows(2, 3, 4), rows(4, 5)]),
+        ("linear", linear, [rows(2, 3, 4), rows(4, 5), rows(5)]),
+        ("layer_norm", layer_norm, [rows(2, 3, 4), rows(4), rows(4)]),
+        ("mixed_attention", lambda q, k, v: mixed_attention(q, k, v, mix, 0.5, 2),
+         [rows(2, 3, 4), rows(2, 3, 4), rows(2, 3, 4)]),
+    ]
+
+
+def test_const_operand_gets_no_gradient(rng):
+    # A constant (requires_grad unset) gets no entry from the node's backward,
+    # and every other operand's gradient is the one it gets when all need one.
+    for name, op, arrays in _const_operand_cases(rng):
+        for const_pos in range(len(arrays)):
+            tracked = [Tensor(a, requires_grad=True) for a in arrays]
+            mixed = [Tensor(a, requires_grad=i != const_pos) for i, a in enumerate(arrays)]
+            out_all, out_mixed = op(*tracked), op(*mixed)
+            g = rng.standard_normal(out_all.shape)
+            want = {id(t): gt for t, gt in out_all._backward(g)}
+            got = {id(t): gt for t, gt in out_mixed._backward(g)}
+            assert sorted(got) == sorted(id(t) for t in mixed if t.requires_grad), (name, const_pos)
+            for t_all, t_mixed in zip(tracked, mixed):
+                if t_mixed.requires_grad:
+                    np.testing.assert_array_equal(
+                        got[id(t_mixed)], want[id(t_all)], err_msg=f"{name}/{const_pos}"
+                    )
 
 
 # ---------------------------------------------------------------------------

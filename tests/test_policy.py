@@ -355,6 +355,28 @@ def test_no_grad_act_builds_no_graph(rng):
     assert out.value._parents == ()
 
 
+def test_act_graph_node_count():
+    # One training step's graph at the default config, on leaf embeddings as
+    # in the streamed update.  Fused linear/layer_norm/attention nodes keep it
+    # at 118 op nodes; the composites of primitives they replace built 336.
+    policy = SawtPolicy(SawtConfig(), seed=0)
+    rng = np.random.default_rng(0)
+    batch, _ = make_batch(policy, rng, b=8, n=6)
+    batch.fac_emb = Tensor(batch.fac_emb.data, requires_grad=True)
+    batch.loc_emb = Tensor(batch.loc_emb.data, requires_grad=True)
+    sigma = np.tile(np.arange(6), (8, 1))
+    out = policy.act(batch, sigma, rng.permuted(sigma, axis=1), rng=rng)
+    seen, ops, stack = set(), 0, [out.log_prob, out.entropy, out.value]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops += bool(node._parents)
+        stack.extend(node._parents)
+    assert ops <= 120, f"{ops} graph nodes per act"
+
+
 # ---------------------------------------------------------------------------
 # Persistence.
 # ---------------------------------------------------------------------------

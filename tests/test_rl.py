@@ -8,8 +8,9 @@ import weakref
 import numpy as np
 import pytest
 
+import helpers
 from helpers import whole_graph_update
-from sawt_qap import generate_instance, objective
+from sawt_qap import generate_instance, nn, objective
 from sawt_qap.errors import NumericalAbortError, ValidationError
 from sawt_qap.nn import Adam
 from sawt_qap.policy import SawtConfig, SawtPolicy, load_policy
@@ -188,22 +189,46 @@ def test_entropy_coefficient_decays(policy, batch):
     assert m5["entropy_coef"] == pytest.approx(0.01 * 0.9**5)
 
 
-def test_nan_abort_carries_diagnostics(policy, batch):
+def _abort_on_nan_value_head(policy, batch, config):
+    """Run one update with a NaN value head; return (diagnostics, act calls)."""
     rng = np.random.default_rng(4)
     opt = Adam(policy.params, lr=1e-3)
     policy.params["value.l1.w"].data[:] = np.nan
     before = {k: t.data.copy() for k, t in policy.params.items()}
-    config = TrainConfig(epochs=1, episode_length=3)
+    acts = []
+    act = policy.act
+
+    def counting_act(*args, **kwargs):
+        acts.append(1)
+        return act(*args, **kwargs)
+
+    policy.act = counting_act
     with pytest.raises(NumericalAbortError) as exc:
         reinforce_update(policy, opt, batch, config, rng, epoch=2)
     diag = exc.value.diagnostics
     assert diag["epoch"] == 2
-    assert "loss" in diag
+    assert diag["step"] == 0
+    assert "loss" in diag and not np.isfinite(diag["loss"])
     # Aborted before the optimizer step, with no gradient left behind.
     assert opt.step_count == 0
     for k, t in policy.params.items():
         np.testing.assert_array_equal(t.data, before[k])
         assert t.grad is None, k
+    return diag, len(acts)
+
+
+def test_nan_abort_carries_diagnostics(policy, batch):
+    # The episode is shorter than the window: the NaN step term is only
+    # back-propagated by the end-of-episode flush.
+    _abort_on_nan_value_head(policy, batch, TrainConfig(epochs=1, episode_length=3))
+
+
+def test_nan_abort_stops_at_first_window(policy, batch):
+    # The first step term is non-finite: the rollout stops as soon as its
+    # window closes, not at the end of the episode.
+    config = TrainConfig(epochs=1, episode_length=64, return_window=2)
+    _, acts = _abort_on_nan_value_head(policy, batch, config)
+    assert acts <= 2
 
 
 class _GradRecordingAdam(Adam):
@@ -239,6 +264,40 @@ def test_streamed_update_matches_whole_graph(steps, window):
     assert m_s.keys() == m_w.keys()
     for k in m_w:
         assert m_s[k] == pytest.approx(m_w[k], rel=1e-10), k
+
+
+def test_fused_layers_match_composite_update(monkeypatch):
+    # One float64 update with the fused layers, then with sawt_qap.nn's
+    # linear/layer_norm/mixed_attention replaced by their composite oracles.
+    config = TrainConfig(episode_length=4, return_window=2, entropy_beta=0.01)
+    model = dataclasses.replace(TINY, dtype="float64", n_layers=2)
+    instances = [generate_instance(5, seed=220 + k) for k in range(3)]
+    results = []
+    oracle_calls = []
+    for use_oracles in (False, True):
+        if use_oracles:
+            for name in ("linear", "layer_norm", "mixed_attention"):
+                oracle = getattr(helpers, f"{name}_composite")
+
+                def counted(*args, _oracle=oracle, **kwargs):
+                    oracle_calls.append(1)
+                    return _oracle(*args, **kwargs)
+
+                monkeypatch.setattr(nn, name, counted)
+        policy = SawtPolicy(model, seed=0)
+        opt = _GradRecordingAdam(policy.params)
+        rng = np.random.default_rng(6)
+        batch = policy.embed_instances(instances, rng)
+        metrics, final = reinforce_update(policy, opt, batch, config, rng, epoch=0)
+        results.append((metrics, final, opt.applied))
+    assert oracle_calls, "the composite oracles were not called"
+    (m_f, final_f, g_f), (m_c, final_c, g_c) = results
+    np.testing.assert_array_equal(final_f.best_sigma, final_c.best_sigma)
+    assert g_f.keys() == g_c.keys() == set(policy.params)
+    for k in g_c:
+        np.testing.assert_allclose(g_f[k], g_c[k], rtol=0, atol=1e-10, err_msg=k)
+    for k in m_c:
+        assert m_f[k] == pytest.approx(m_c[k], rel=1e-10), k
 
 
 def _peak_traced_bytes(fn) -> int:
