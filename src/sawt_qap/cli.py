@@ -46,13 +46,7 @@ from .core import (
     instance_to_json,
     objective,
 )
-from .errors import (
-    CheckpointError,
-    NumericalAbortError,
-    ParseError,
-    SawtQapError,
-    ValidationError,
-)
+from .errors import NumericalAbortError, SawtQapError, ValidationError
 from .nn import Adam
 from .policy import SawtConfig, SawtPolicy, load_policy, save_policy
 from .rl import TrainConfig, evaluate, train
@@ -828,13 +822,7 @@ def main(argv=None) -> int:
             print(json.dumps(err.diagnostics, default=str, sort_keys=True),
                   file=sys.stderr)
         return 4
-    except (ValidationError, ParseError, CheckpointError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except SawtQapError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:  # missing files, unreachable mirrors
+    except (SawtQapError, OSError) as err:  # OSError: missing files, unreachable mirrors
         print(f"error: {err}", file=sys.stderr)
         return 3
 

@@ -488,7 +488,7 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def backward(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, (batch, idx), g)
+        out[batch, idx] = g  # one row per batch element: no index repeats
         return ((a, out),)
 
     return _make(a.data[batch, idx], (a,), backward)
@@ -501,7 +501,7 @@ def permute_rows(a: Tensor, perm: np.ndarray) -> Tensor:
 
     def backward(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, (batch, perm), g)
+        out[batch, perm] = g  # a permutation per batch element: no index repeats
         return ((a, out),)
 
     return _make(a.data[batch, perm], (a,), backward)

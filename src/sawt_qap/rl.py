@@ -18,8 +18,8 @@ Because nothing is bootstrapped, step t's loss term is fixed once reward
 t + w - 1 is known (w = ``return_window``).  :func:`reinforce_update`
 therefore streams: it rolls out and back-propagates in one loop, freeing each
 step's graph as soon as its return is complete, so at most w + 1 step graphs
-are alive at once instead of the whole episode's.  :func:`collect_rollouts`
-serves the no-grad :func:`evaluate`.
+are alive at once instead of the whole episode's.  :func:`evaluate` runs the
+same act/step loop with no graph; both batch same-size instances via ``_batches``.
 """
 
 from __future__ import annotations
@@ -41,13 +41,11 @@ from .policy import InstanceBatch, SawtPolicy, save_policy
 
 __all__ = [
     "SearchState",
-    "Trajectory",
     "TrainConfig",
     "TrainResult",
     "EvalResult",
     "reset_state",
     "step_state",
-    "collect_rollouts",
     "compute_returns",
     "reinforce_update",
     "evaluate",
@@ -72,13 +70,6 @@ class SearchState:
         )
 
 
-def _f64_matrices(batch: InstanceBatch) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Float64 flow/distance views for exact cost bookkeeping."""
-    flows = [inst.flow for inst in batch.instances]
-    dists = [inst.distance for inst in batch.instances]
-    return flows, dists
-
-
 def reset_state(batch: InstanceBatch, init: str = "identity", rng=None) -> SearchState:
     """Fresh search state: identity or uniformly random starting assignments."""
     B, n = batch.size, batch.n
@@ -90,8 +81,7 @@ def reset_state(batch: InstanceBatch, init: str = "identity", rng=None) -> Searc
         sigma = np.stack([rng.permutation(n).astype(np.int64) for _ in range(B)])
     else:
         raise ValidationError(f"init must be 'identity' or 'random', got {init!r}")
-    flows, dists = _f64_matrices(batch)
-    cost = np.array([_objective(flows[b], dists[b], sigma[b]) for b in range(B)])
+    cost = np.array([_objective(i.flow, i.distance, s) for i, s in zip(batch.instances, sigma)])
     return SearchState(sigma, cost, sigma.copy(), cost.copy(), 0)
 
 
@@ -102,13 +92,11 @@ def step_state(batch: InstanceBatch, state: SearchState, swaps: np.ndarray) -> t
     produces a new incumbent, by exactly the incumbent's improvement.
     """
     swaps = np.asarray(swaps, dtype=np.int64)
-    B = batch.size
-    flows, dists = _f64_matrices(batch)
     new = state.copy()
-    rewards = np.zeros(B, dtype=np.float64)
-    for b in range(B):
+    rewards = np.zeros(batch.size, dtype=np.float64)
+    for b, inst in enumerate(batch.instances):
         i, j = int(swaps[b, 0]), int(swaps[b, 1])
-        delta = _swap_delta(flows[b], dists[b], new.sigma[b], i, j)
+        delta = _swap_delta(inst.flow, inst.distance, new.sigma[b], i, j)
         new.sigma[b, i], new.sigma[b, j] = new.sigma[b, j], new.sigma[b, i]
         new.cost[b] += delta
         if new.cost[b] < new.best_cost[b]:
@@ -117,45 +105,6 @@ def step_state(batch: InstanceBatch, state: SearchState, swaps: np.ndarray) -> t
             new.best_sigma[b] = new.sigma[b]
     new.t += 1
     return new, rewards
-
-
-@dataclass
-class Trajectory:
-    """One collected episode batch: per-step graph tensors and rewards."""
-
-    log_probs: list  # T tensors of shape (B,)
-    entropies: list  # T tensors of shape (B,)
-    values: list  # T tensors of shape (B,)
-    rewards: np.ndarray  # (T, B)
-    start_cost: np.ndarray  # (B,)
-    final_state: SearchState
-
-
-def collect_rollouts(
-    policy: SawtPolicy,
-    batch: InstanceBatch,
-    steps: int,
-    rng,
-    state: SearchState | None = None,
-    init: str = "identity",
-    greedy: bool = False,
-) -> Trajectory:
-    """Roll the policy forward ``steps`` swaps from ``state`` (or a fresh one)."""
-    if steps < 1:
-        raise ValidationError(f"steps must be positive, got {steps}")
-    if state is None:
-        state = reset_state(batch, init=init, rng=rng)
-    log_probs, entropies, values = [], [], []
-    rewards = np.zeros((steps, batch.size), dtype=np.float64)
-    start_cost = state.cost.copy()
-    for t in range(steps):
-        out = policy.act(batch, state.sigma, state.best_sigma, rng=rng, greedy=greedy)
-        state, r = step_state(batch, state, out.swaps)
-        log_probs.append(out.log_prob)
-        entropies.append(out.entropy)
-        values.append(out.value)
-        rewards[t] = r
-    return Trajectory(log_probs, entropies, values, rewards, start_cost, state)
 
 
 def compute_returns(rewards: np.ndarray, gamma: float, window: int) -> np.ndarray:
@@ -359,29 +308,31 @@ class EvalResult:
     best_costs: np.ndarray  # (N,)
     best_sigmas: list  # N arrays
     mean_cost: float
-    steps: int
     batches: list = field(default_factory=list)  # (indices, wall_s) pairs
 
 
-def _buckets(instances) -> list[list[int]]:
+EVAL_BATCH_SIZE = 64
+
+
+def _batches(instances, size: int, rng=None) -> list[list[int]]:
+    """Index lists of at most ``size`` same-n instances, smallest n first.
+
+    With ``rng``, every bucket's permutation is drawn before any batch runs.
+    """
     by_n: dict[int, list[int]] = {}
     for idx, inst in enumerate(instances):
         by_n.setdefault(inst.n, []).append(idx)
-    return [by_n[n] for n in sorted(by_n)]
+    buckets = [by_n[n] for n in sorted(by_n)]
+    if rng is not None:
+        buckets = [rng.permutation(bucket).tolist() for bucket in buckets]
+    return [bucket[lo : lo + size] for bucket in buckets for lo in range(0, len(bucket), size)]
 
 
-def evaluate(
-    policy: SawtPolicy,
-    instances,
-    steps: int = 100,
-    seed: int = 0,
-    batch_size: int = 64,
-    greedy: bool = False,
-    init: str = "identity",
-) -> EvalResult:
-    """Run sampled (or greedy) search on each instance; no gradients recorded.
+def evaluate(policy: SawtPolicy, instances, steps: int = 100, seed: int = 0) -> EvalResult:
+    """Sampled search from the identity on each instance; no gradients recorded.
 
-    A ``steps=0`` budget reports the starting assignments unchanged.
+    Same-size instances run in batches of up to ``EVAL_BATCH_SIZE``.  A
+    ``steps=0`` budget reports the starting assignments unchanged.
     """
     instances = list(instances)
     if not instances:
@@ -393,22 +344,18 @@ def evaluate(
     best_sigmas: list = [None] * len(instances)
     batches = []
     with nn.no_grad():
-        for bucket in _buckets(instances):
-            for lo in range(0, len(bucket), batch_size):
-                idxs = bucket[lo : lo + batch_size]
-                tic = time.perf_counter()
-                batch = policy.embed_instances([instances[i] for i in idxs], rng)
-                if steps == 0:
-                    final = reset_state(batch, init=init, rng=rng)
-                else:
-                    final = collect_rollouts(
-                        policy, batch, steps, rng, init=init, greedy=greedy
-                    ).final_state
-                batches.append((idxs, time.perf_counter() - tic))
-                for pos, idx in enumerate(idxs):
-                    best_costs[idx] = final.best_cost[pos]
-                    best_sigmas[idx] = final.best_sigma[pos].copy()
-    return EvalResult(best_costs, best_sigmas, float(best_costs.mean()), steps, batches)
+        for idxs in _batches(instances, EVAL_BATCH_SIZE):
+            tic = time.perf_counter()
+            batch = policy.embed_instances([instances[i] for i in idxs], rng)
+            state = reset_state(batch)
+            for _ in range(steps):
+                out = policy.act(batch, state.sigma, state.best_sigma, rng=rng)
+                state, _ = step_state(batch, state, out.swaps)
+            batches.append((idxs, time.perf_counter() - tic))
+            for pos, idx in enumerate(idxs):
+                best_costs[idx] = state.best_cost[pos]
+                best_sigmas[idx] = state.best_sigma[pos].copy()
+    return EvalResult(best_costs, best_sigmas, float(best_costs.mean()), batches)
 
 
 @dataclass
@@ -455,24 +402,9 @@ def train(
     try:
         for epoch in range(start_epoch, start_epoch + config.epochs):
             tic = time.perf_counter()
-            order = np.concatenate(
-                [rng.permutation(bucket) for bucket in map(np.asarray, _buckets(instances))]
-            )
             epoch_metrics: list[dict] = []
             best_costs: list[float] = []
-            start = 0
-            while start < len(order):
-                # Batches must stay within one size bucket.
-                n0 = instances[order[start]].n
-                idxs = [order[start]]
-                start += 1
-                while (
-                    start < len(order)
-                    and len(idxs) < config.batch_size
-                    and instances[order[start]].n == n0
-                ):
-                    idxs.append(order[start])
-                    start += 1
+            for idxs in _batches(instances, config.batch_size, rng):
                 batch = policy.embed_instances([instances[i] for i in idxs], rng)
                 metrics, final = reinforce_update(policy, optimizer, batch, config, rng, epoch)
                 epoch_metrics.append(metrics)

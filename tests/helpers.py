@@ -12,7 +12,7 @@ import numpy as np
 from sawt_qap import nn
 from sawt_qap.core import QapInstance
 from sawt_qap.errors import NumericalAbortError
-from sawt_qap.rl import collect_rollouts, compute_returns
+from sawt_qap.rl import compute_returns, reset_state, step_state
 
 
 def naive_objective(flow, distance, sigma) -> float:
@@ -261,11 +261,18 @@ def brute_force_loop(flow, distance, init_bound):
 
 
 def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
-    traj = collect_rollouts(policy, batch, config.episode_length, rng, init=config.init)
-    returns = compute_returns(traj.rewards, config.gamma, config.return_window)
-    logp = nn.stack(traj.log_probs, axis=0)  # (T, B)
-    values = nn.stack(traj.values, axis=0)  # (T, B)
-    entropy = nn.stack(traj.entropies, axis=0)  # (T, B)
+    state = reset_state(batch, init=config.init, rng=rng)
+    outs, rewards = [], []
+    for _ in range(config.episode_length):
+        out = policy.act(batch, state.sigma, state.best_sigma, rng=rng)
+        state, r = step_state(batch, state, out.swaps)
+        outs.append(out)
+        rewards.append(r)
+    rewards = np.stack(rewards)  # (T, B)
+    returns = compute_returns(rewards, config.gamma, config.return_window)
+    logp = nn.stack([o.log_prob for o in outs], axis=0)  # (T, B)
+    values = nn.stack([o.value for o in outs], axis=0)  # (T, B)
+    entropy = nn.stack([o.entropy for o in outs], axis=0)  # (T, B)
     dt = logp.dtype
     advantage = returns - values.data.astype(np.float64)  # detached baseline
     coef = config.entropy_beta * config.entropy_decay**epoch
@@ -285,7 +292,7 @@ def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
         "entropy": float(entropy_term.data),
         "entropy_coef": float(coef),
         "mean_return": float(returns.mean()),
-        "mean_reward": float(traj.rewards.mean()),
+        "mean_reward": float(rewards.mean()),
     }
     if not all(np.isfinite(v) for v in metrics.values()):
         raise NumericalAbortError(
@@ -300,7 +307,7 @@ def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
     metrics["grad_norm"] = float(np.sqrt(grad_sq))
     optimizer.step()
     optimizer.zero_grad()
-    return metrics, traj.final_state
+    return metrics, state
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ import pytest
 import helpers
 from helpers import whole_graph_update
 from sawt_qap import generate_instance, nn, objective
+from sawt_qap.core import make_rng
 from sawt_qap.errors import NumericalAbortError, ValidationError
 from sawt_qap.nn import Adam
 from sawt_qap.policy import SawtConfig, SawtPolicy, load_policy
 from sawt_qap.rl import (
     TrainConfig,
-    collect_rollouts,
     compute_returns,
     evaluate,
     reinforce_update,
@@ -144,17 +144,6 @@ def test_compute_returns_validation(rng):
 # ---------------------------------------------------------------------------
 # Rollouts and updates.
 # ---------------------------------------------------------------------------
-
-
-def test_collect_rollouts_shapes(policy, batch):
-    rng = np.random.default_rng(1)
-    traj = collect_rollouts(policy, batch, steps=7, rng=rng)
-    assert len(traj.log_probs) == 7
-    assert traj.rewards.shape == (7, 3)
-    assert traj.final_state.t == 7
-    assert traj.log_probs[0].shape == (3,)
-    with pytest.raises(ValidationError):
-        collect_rollouts(policy, batch, steps=0, rng=rng)
 
 
 def test_reinforce_update_metrics_and_grad(policy, batch):
@@ -464,6 +453,30 @@ def test_train_buckets_mixed_sizes():
     result = train(policy, instances, config)
     # 3 of size 4 and 3 of size 6 cannot share a batch: at least 2 updates.
     assert result.history[0]["updates"] >= 2
+
+
+def test_train_batches_shuffle_each_bucket_up_front(monkeypatch):
+    """Each size bucket, smallest n first, is permuted by the epoch's rng and cut
+    into chunks; all bucket permutations are drawn before the first batch."""
+    policy = SawtPolicy(TINY, seed=3)
+    instances = [generate_instance(6, seed=820 + k) for k in range(3)]
+    instances += [generate_instance(4, seed=720 + k) for k in range(5)]
+    index = {id(inst): i for i, inst in enumerate(instances)}
+    embedded = []
+    embed = policy.embed_instances
+
+    def recording_embed(insts, rng):
+        embedded.append([index[id(inst)] for inst in insts])
+        return embed(insts, rng)
+
+    monkeypatch.setattr(policy, "embed_instances", recording_embed)
+    config = TrainConfig(epochs=1, batch_size=2, episode_length=2, seed=13)
+    result = train(policy, instances, config)
+    assert result.history[0]["updates"] == 5
+    rng = make_rng(config.seed)
+    n4 = rng.permutation([3, 4, 5, 6, 7]).tolist()
+    n6 = rng.permutation([0, 1, 2]).tolist()
+    assert embedded == [n4[0:2], n4[2:4], n4[4:], n6[0:2], n6[2:]]
 
 
 def test_train_config_validation():
