@@ -238,8 +238,6 @@ def _run_solver(name: str, instances: list[QapInstance], steps: int, *, threads:
     recomputation and raises :class:`NumericalAbortError` on a mismatch.
     """
     if name == "sawt":
-        if not checkpoint:
-            raise ValidationError("--checkpoint is required for solver 'sawt'")
         policy, _, _ = load_policy(checkpoint)
         res = evaluate(policy, instances, steps=steps, seed=seed)
         parts = [None] * len(instances)
@@ -365,6 +363,15 @@ def _write_results(run_dir: Path, solver: str, steps: int, seed: int, names: lis
 
 def cmd_solve(args) -> int:
     started = _utc_now()
+    # Each solver-specific flag is read by one solver only; any other rejects it.
+    if args.solver == "sawt" and not args.checkpoint:
+        raise ValidationError("--checkpoint is required for solver 'sawt'")
+    if args.checkpoint and args.solver != "sawt":
+        raise ValidationError(f"--checkpoint is read only by solver 'sawt', not {args.solver!r}")
+    if args.record_trajectory and args.solver != "tabu":
+        raise ValidationError(
+            f"--record-trajectory is read only by solver 'tabu', not {args.solver!r}"
+        )
     paths = _collect_instance_paths(args.instances)
     instances = [_load_instance_file(p) for p in paths]
     run_dir = _prepare_run_dir(args.out)
@@ -493,7 +500,7 @@ def cmd_train(args) -> int:
 
     config = {
         "train": train_cfg.to_dict(),
-        "model": model_cfg.to_dict(),
+        "model": policy.config.to_dict(),
         "data": data if not args.data else {"data_dir": args.data},
         "resume": args.resume,
         "start_epoch": start_epoch,
@@ -710,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search budget: tabu/greedy iterations or sawt swap "
                         "steps; ignored by brute/sm (default: 5000)")
     p.add_argument("--checkpoint", type=str, default=None,
-                   help="policy checkpoint (required for --solver sawt)")
+                   help="policy checkpoint (--solver sawt only, and required there)")
     p.add_argument("--reference", type=str, default="auto",
                    help="gap reference: auto (brute for n<=%d, else the "
                         "deterministic 5000-step tabu run from the identity), "

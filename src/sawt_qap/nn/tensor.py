@@ -19,9 +19,9 @@ forwards evaluate the same numpy expressions, in the same order, as the
 composites of primitives they replace, so outputs are bit-identical to those
 composites.
 
-Operands that are constants get no gradient: ``add``, ``sub``, ``mul``,
-``matmul`` and the fused layers skip the gradient of every operand whose
-``requires_grad`` is unset.
+Every op's backward returns one ``(parent, grad)`` pair per parent, constants
+included; :meth:`Tensor.backward` keeps only the gradients that reach a tracked
+node or a ``requires_grad`` leaf.
 """
 
 from __future__ import annotations
@@ -129,13 +129,9 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
-    def detached(self) -> np.ndarray:
-        """The underlying array, exiting the graph (no copy)."""
-        return self.data
-
     # -- graph ------------------------------------------------------------------
     def _track(self, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             self._parents = parents
             self._backward = backward
             self.requires_grad = True
@@ -176,8 +172,6 @@ class Tensor:
                 node.grad = g if node.grad is None else node.grad + g
             if node._backward is not None:
                 for parent, pg in node._backward(g):
-                    if pg is None:
-                        continue
                     key = id(parent)
                     if key in grads:
                         grads[key] = grads[key] + pg
@@ -241,36 +235,24 @@ def _make(data, parents, backward) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g, a.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(g, b.shape)))
-        return grads
+        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
 
     return _make(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g, a.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(-g, b.shape)))
-        return grads
+        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
 
     return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g * b.data, a.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(g * a.data, b.shape)))
-        return grads
+        return (
+            (a, _unbroadcast(g * b.data, a.shape)),
+            (b, _unbroadcast(g * a.data, b.shape)),
+        )
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -357,12 +339,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValidationError("matmul operands must be at least 2-D")
 
     def backward(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)))
-        return grads
+        return (
+            (a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)),
+            (b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
+        )
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -525,14 +505,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         out_data = out_data + bias.data
 
     def backward(g):
-        grads = []
-        if x.requires_grad:
-            grads.append((x, g @ weight.data.T))
+        # The batch axes fold into the rows of one 2-D product.
         g2 = g.reshape(-1, g.shape[-1])
-        if weight.requires_grad:
-            # The batch axes fold into the rows of one 2-D product.
-            grads.append((weight, x.data.reshape(-1, x.shape[-1]).T @ g2))
-        if bias is not None and bias.requires_grad:
+        grads = [(x, g @ weight.data.T), (weight, x.data.reshape(-1, x.shape[-1]).T @ g2)]
+        if bias is not None:
             grads.append((bias, g2.sum(axis=0)))
         return grads
 
@@ -550,17 +526,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data = normed * gain.data + bias.data
 
     def backward(g):
-        grads = []
-        if a.requires_grad:
-            gn = g * gain.data
-            gx = gn - gn.mean(axis=-1, keepdims=True)
-            gx -= normed * (gn * normed).mean(axis=-1, keepdims=True)
-            grads.append((a, gx / std))
-        if gain.requires_grad:
-            grads.append((gain, _unbroadcast(g * normed, gain.shape)))
-        if bias.requires_grad:
-            grads.append((bias, _unbroadcast(g, bias.shape)))
-        return grads
+        gn = g * gain.data
+        gx = gn - gn.mean(axis=-1, keepdims=True)
+        gx -= normed * (gn * normed).mean(axis=-1, keepdims=True)
+        return (
+            (a, gx / std),
+            (gain, _unbroadcast(g * normed, gain.shape)),
+            (bias, _unbroadcast(g, bias.shape)),
+        )
 
     return _make(out_data, (a, gain, bias), backward)
 
@@ -593,19 +566,15 @@ def mixed_attention(q: Tensor, k: Tensor, v: Tensor, mix: np.ndarray,
 
     def backward(g):
         gh = g.reshape(heads).transpose(0, 2, 1, 3)
-        grads = []
-        if v.requires_grad:
-            grads.append((v, merge(att.transpose(0, 1, 3, 2) @ gh)))
-        if q.requires_grad or k.requires_grad:
-            g_att = gh @ vh.transpose(0, 1, 3, 2)
-            g_scores = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True))
-            g_scores *= mix_h
-            g_scores *= scale_arr
-            if q.requires_grad:
-                grads.append((q, merge(g_scores @ kh)))
-            if k.requires_grad:
-                grads.append((k, merge(g_scores.transpose(0, 1, 3, 2) @ qh)))
-        return grads
+        g_att = gh @ vh.transpose(0, 1, 3, 2)
+        g_scores = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True))
+        g_scores *= mix_h
+        g_scores *= scale_arr
+        return (
+            (v, merge(att.transpose(0, 1, 3, 2) @ gh)),
+            (q, merge(g_scores @ kh)),
+            (k, merge(g_scores.transpose(0, 1, 3, 2) @ qh)),
+        )
 
     return _make(merge(att @ vh), (q, k, v), backward)
 

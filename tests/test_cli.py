@@ -269,6 +269,28 @@ def test_solve_missing_inputs_and_checkpoint(gen_dir, tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "solver, flags, named",
+    [
+        ("sm", ["--record-trajectory"], "--record-trajectory"),
+        ("greedy", ["--record-trajectory"], "--record-trajectory"),
+        ("sm", ["--checkpoint", "nonexistent.ckpt"], "--checkpoint"),
+        ("tabu", ["--checkpoint", "nonexistent.ckpt"], "--checkpoint"),
+        ("sawt", ["--checkpoint", "nonexistent.ckpt", "--record-trajectory"],
+         "--record-trajectory"),
+    ],
+)
+def test_solve_rejects_flags_its_solver_ignores(gen_dir, tmp_path, capsys, solver, flags,
+                                                 named):
+    # A solver-specific flag given to another solver is a validation error
+    # (exit 3), raised before the run directory is made.
+    out = tmp_path / "run"
+    assert main(["solve", "--instances", str(gen_dir), "--solver", solver, *flags,
+                 "--out", str(out)]) == 3
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train + sawt solve
 # ---------------------------------------------------------------------------
@@ -338,6 +360,20 @@ def test_train_resume_continues_numbering(trained, tmp_path):
                  "--out", str(out2)]) == 0
     metrics = read_jsonl(out2 / "metrics.jsonl")
     assert [m["epoch"] for m in metrics] == [2]
+
+
+def test_train_resume_manifest_records_the_trained_model(trained, tmp_path):
+    # Resumed with default model flags, the manifest records the checkpoint's
+    # model (d_emb=16), not the default config (d_emb=64).
+    out, _ = trained
+    out2 = tmp_path / "resumed"
+    assert main(["train", "--epochs", "1", "--n", "5", "--count", "2", "--batch-size", "2",
+                 "--episode-length", "3", "--eval-count", "0",
+                 "--resume", str(out / "policy.ckpt"), "--out", str(out2)]) == 0
+    manifest = json.loads((out2 / "manifest.json").read_text())
+    policy, _, _ = load_policy(out2 / "policy.ckpt")
+    assert manifest["config"]["model"] == policy.config.to_dict()
+    assert manifest["config"]["model"]["d_emb"] == 16
 
 
 def test_train_bad_config_keys(tmp_path, capsys):

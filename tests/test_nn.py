@@ -288,21 +288,22 @@ def _const_operand_cases(rng):
 
 
 def test_const_operand_gets_no_gradient(rng):
-    # A constant (requires_grad unset) gets no entry from the node's backward,
-    # and every other operand's gradient is the one it gets when all need one.
+    # Through Tensor.backward, a constant (requires_grad unset) keeps .grad None,
+    # and every tracked operand gets, bit for bit, its all-tracked gradient.
     for name, op, arrays in _const_operand_cases(rng):
+        tracked = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*tracked)
+        seed = rng.standard_normal(out.shape)
+        out.backward(seed=seed)
         for const_pos in range(len(arrays)):
-            tracked = [Tensor(a, requires_grad=True) for a in arrays]
             mixed = [Tensor(a, requires_grad=i != const_pos) for i, a in enumerate(arrays)]
-            out_all, out_mixed = op(*tracked), op(*mixed)
-            g = rng.standard_normal(out_all.shape)
-            want = {id(t): gt for t, gt in out_all._backward(g)}
-            got = {id(t): gt for t, gt in out_mixed._backward(g)}
-            assert sorted(got) == sorted(id(t) for t in mixed if t.requires_grad), (name, const_pos)
-            for t_all, t_mixed in zip(tracked, mixed):
-                if t_mixed.requires_grad:
+            op(*mixed).backward(seed=seed)
+            for i, (t_all, t_mixed) in enumerate(zip(tracked, mixed)):
+                if i == const_pos:
+                    assert t_mixed.grad is None, (name, const_pos)
+                else:
                     np.testing.assert_array_equal(
-                        got[id(t_mixed)], want[id(t_all)], err_msg=f"{name}/{const_pos}"
+                        t_mixed.grad, t_all.grad, err_msg=f"{name}/{const_pos}"
                     )
 
 
@@ -358,10 +359,18 @@ def test_backward_requires_scalar(rng):
 def test_no_grad_builds_no_graph(rng):
     x = leaf(rng, 3, 3)
     with no_grad():
+        assert not T.is_grad_enabled()
         y = tensor_sum(mul(x, x))
     assert y._backward is None and y._parents == ()
     assert not y.requires_grad
-    assert not T.is_grad_enabled() or True  # flag restored after context
+    assert T.is_grad_enabled()  # flag restored after the context
+
+
+def test_no_grad_restores_flag_after_exception():
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            assert not T.is_grad_enabled()
+            raise RuntimeError("inside no_grad")
     assert T.is_grad_enabled()
 
 
