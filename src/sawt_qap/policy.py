@@ -22,7 +22,10 @@ Architecture, bottom to top:
 * **Heads** — two pointer-style MLPs factorize the swap distribution
   ``p(i, j) = p1(i) * p2(j | i)``; a scalar critic regresses the expected
   return from the mean node encoding plus a max-pooled summary of the
-  best-so-far assignment's encoding (computed by a second encoder pass).
+  best-so-far assignment's encoding.  The caller passes that encoding in:
+  search keeps it cached and re-encodes only the rows whose incumbent
+  changed, since the incumbent moves far less often than the current
+  assignment.
 
 Everything runs on the in-package autodiff tensors; batches must share one
 instance size.
@@ -127,6 +130,23 @@ class InstanceBatch:
     @property
     def n(self) -> int:
         return self.flow.shape[1]
+
+    def rows(self, idx) -> "InstanceBatch":
+        """Sub-batch of the rows ``idx``, with detached embedding copies.
+
+        Every encoder op treats a row on its own, so encoding the sub-batch
+        reproduces those rows of a full-batch encoding bit for bit.  No
+        gradient reaches the parent batch's embeddings; use it under
+        :func:`nn.no_grad`.
+        """
+        idx = np.asarray(idx, dtype=np.int64)
+        return InstanceBatch(
+            [self.instances[i] for i in idx],
+            self.flow[idx],
+            self.dist[idx],
+            Tensor.const(self.fac_emb.data[idx]),
+            Tensor.const(self.loc_emb.data[idx]),
+        )
 
     def solution_aware(self, sigma: np.ndarray) -> np.ndarray:
         """Batched ``M_sigma = F * D[sigma, sigma]`` for sigma of shape (B, n)."""
@@ -336,24 +356,31 @@ class SawtPolicy:
         self,
         batch: InstanceBatch,
         sigma: np.ndarray,
-        sigma_best: np.ndarray,
+        h_best: Tensor,
         rng=None,
         greedy: bool = False,
         forced: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> ActionOutput:
         """Score and pick one swap per batch element.
 
-        Runs two encoder passes — the current assignment ``sigma`` and the
-        best-so-far ``sigma_best`` — and factorizes the swap distribution as
-        ``p1(i) * p2(j | i)`` with ``j = i`` masked out.  ``greedy`` takes
-        argmax actions (evaluation); otherwise ``rng`` samples.  ``forced``
-        pins the actions (used by gradient checks), bypassing both.
+        Runs one encoder pass, over the current assignment ``sigma``.
+        ``h_best`` is the (B, n, d_emb) encoding of the best-so-far
+        assignment, ``encode(batch, best_sigma)``; the caller owns it, so
+        search can keep it cached and refresh only the rows whose incumbent
+        changed, while training passes a graph-attached encoding.  The swap
+        distribution factorizes as ``p1(i) * p2(j | i)`` with ``j = i``
+        masked out.  ``greedy`` takes argmax actions (evaluation); otherwise
+        ``rng`` samples.  ``forced`` pins the actions (used by gradient
+        checks), bypassing both.
         """
         if forced is None and not greedy and rng is None:
             raise ValidationError("sampling mode requires an rng")
         B, n = batch.size, batch.n
+        if h_best.shape != (B, n, self.config.d_emb):
+            raise ValidationError(
+                f"h_best must have shape {(B, n, self.config.d_emb)}, got {h_best.shape}"
+            )
         h = self.encode(batch, sigma)
-        h_best = self.encode(batch, np.asarray(sigma_best, dtype=np.int64))
         h_star = nn.tensor_max(h_best, axis=1)  # (B, d) best-assignment summary
         star_bc = nn.broadcast_to(nn.reshape(h_star, (B, 1, self.config.d_emb)),
                                   (B, n, self.config.d_emb))

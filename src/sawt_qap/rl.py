@@ -19,7 +19,9 @@ t + w - 1 is known (w = ``return_window``).  :func:`reinforce_update`
 therefore streams: it rolls out and back-propagates in one loop, freeing each
 step's graph as soon as its return is complete, so at most w + 1 step graphs
 are alive at once instead of the whole episode's.  :func:`evaluate` runs the
-same act/step loop with no graph; both batch same-size instances via ``_batches``.
+same act/step loop with no graph, and re-encodes the best-so-far assignment
+only for rows whose incumbent changed; both batch same-size instances via
+``_batches``.
 """
 
 from __future__ import annotations
@@ -257,7 +259,8 @@ def reinforce_update(
     optimizer.zero_grad()
     try:
         for t in range(T):
-            out = policy.act(leaf_batch, state.sigma, state.best_sigma, rng=rng)
+            h_best = policy.encode(leaf_batch, state.best_sigma)
+            out = policy.act(leaf_batch, state.sigma, h_best, rng=rng)
             state, rewards = step_state(leaf_batch, state, out.swaps)
             sums["reward"] += float(rewards.sum())
             pending.append([t, out, np.zeros(B)])
@@ -332,7 +335,11 @@ def evaluate(policy: SawtPolicy, instances, steps: int = 100, seed: int = 0) -> 
     """Sampled search from the identity on each instance; no gradients recorded.
 
     Same-size instances run in batches of up to ``EVAL_BATCH_SIZE``.  A
-    ``steps=0`` budget reports the starting assignments unchanged.
+    ``steps=0`` budget reports the starting assignments unchanged.  The
+    best-so-far encoding is computed once per batch and cached; after each
+    step only the rows with a positive reward, exactly those whose incumbent
+    changed, are re-encoded (on a :meth:`InstanceBatch.rows` sub-batch) and
+    written into the cache in place.
     """
     instances = list(instances)
     if not instances:
@@ -348,9 +355,14 @@ def evaluate(policy: SawtPolicy, instances, steps: int = 100, seed: int = 0) -> 
             tic = time.perf_counter()
             batch = policy.embed_instances([instances[i] for i in idxs], rng)
             state = reset_state(batch)
+            h_best = policy.encode(batch, state.best_sigma)
             for _ in range(steps):
-                out = policy.act(batch, state.sigma, state.best_sigma, rng=rng)
-                state, _ = step_state(batch, state, out.swaps)
+                out = policy.act(batch, state.sigma, h_best, rng=rng)
+                state, rewards = step_state(batch, state, out.swaps)
+                changed = np.flatnonzero(rewards > 0)
+                if changed.size:
+                    fresh = policy.encode(batch.rows(changed), state.best_sigma[changed])
+                    h_best.data[changed] = fresh.data
             batches.append((idxs, time.perf_counter() - tic))
             for pos, idx in enumerate(idxs):
                 best_costs[idx] = state.best_cost[pos]

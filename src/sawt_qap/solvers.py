@@ -177,7 +177,8 @@ class SpectralResult:
         converged: Whether the tolerance was met within the budget.
         scores: The (n, n) relaxed score matrix: the leading eigenvector of
             ``kron(F, D)`` reshaped row-major, unit Frobenius norm,
-            non-negative.
+            non-negative.  Unconverged, the normalized sum of the last two
+            iterates.
     """
 
     assignment: Assignment
@@ -199,9 +200,15 @@ def spectral_matching(
     Frobenius change drops below ``tol``; an all-zero product (a zero flow,
     say) stops it on the current iterate.  The scores are projected to a
     permutation with the Hungarian method on their negation.
-    Non-convergence is logged and the last iterate is still projected.
+
+    Non-convergence is logged, and the sum of the last two iterates is
+    projected.  A bipartite flow graph gives ``K`` a ``±ρ`` eigenvalue pair,
+    so the iterate alternates between two vectors whose ``-ρ`` component
+    flips sign every step; their sum cancels it, and the result no longer
+    depends on the parity of ``max_iter``.
     """
     v = np.full((inst.n, inst.n), 1.0 / inst.n)
+    v_prev = v
     iters, converged = 0, False
     while not converged and iters < max_iter:
         iters += 1
@@ -211,12 +218,14 @@ def spectral_matching(
         if not converged:
             w /= norm
             converged = float(np.linalg.norm(w - v)) < tol
-            v = w
+            v_prev, v = v, w
     if not converged:
         logger.warning(
             "power iteration did not converge on %s after %d iterations; "
-            "projecting the last iterate", inst.name, iters,
+            "projecting the sum of the last two iterates", inst.name, iters,
         )
+        v = v + v_prev
+        v /= np.linalg.norm(v)
     sigma = hungarian_projection(v)
     return SpectralResult(
         assignment=Assignment(sigma, objective(inst, sigma)),

@@ -10,9 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from sawt_qap import nn
-from sawt_qap.core import QapInstance
+from sawt_qap.core import QapInstance, make_rng
 from sawt_qap.errors import NumericalAbortError
-from sawt_qap.rl import compute_returns, reset_state, step_state
+from sawt_qap.rl import (
+    EVAL_BATCH_SIZE, EvalResult, _batches, compute_returns, reset_state, step_state,
+)
 
 
 def naive_objective(flow, distance, sigma) -> float:
@@ -264,7 +266,7 @@ def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
     state = reset_state(batch, init=config.init, rng=rng)
     outs, rewards = [], []
     for _ in range(config.episode_length):
-        out = policy.act(batch, state.sigma, state.best_sigma, rng=rng)
+        out = policy.act(batch, state.sigma, policy.encode(batch, state.best_sigma), rng=rng)
         state, r = step_state(batch, state, out.swaps)
         outs.append(out)
         rewards.append(r)
@@ -308,6 +310,31 @@ def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
     optimizer.step()
     optimizer.zero_grad()
     return metrics, state
+
+
+# ---------------------------------------------------------------------------
+# Uncached reference for ``sawt_qap.rl.evaluate``: same signature and search,
+# but the best-so-far assignment is re-encoded in full on every step instead
+# of being cached and refreshed only for rows whose incumbent changed.
+# ---------------------------------------------------------------------------
+
+
+def uncached_evaluate(policy, instances, steps=100, seed=0):
+    instances = list(instances)
+    rng = make_rng(seed)
+    best_costs = np.zeros(len(instances), dtype=np.float64)
+    best_sigmas = [None] * len(instances)
+    with nn.no_grad():
+        for idxs in _batches(instances, EVAL_BATCH_SIZE):
+            batch = policy.embed_instances([instances[i] for i in idxs], rng)
+            state = reset_state(batch)
+            for _ in range(steps):
+                out = policy.act(batch, state.sigma, policy.encode(batch, state.best_sigma), rng=rng)
+                state, _ = step_state(batch, state, out.swaps)
+            for pos, idx in enumerate(idxs):
+                best_costs[idx] = state.best_cost[pos]
+                best_sigmas[idx] = state.best_sigma[pos].copy()
+    return EvalResult(best_costs, best_sigmas, float(best_costs.mean()))
 
 
 # ---------------------------------------------------------------------------

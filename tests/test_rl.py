@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from helpers import whole_graph_update
-from sawt_qap import generate_instance, nn, objective
+from sawt_qap import generate_instance, nn, objective, rl
 from sawt_qap.core import make_rng
 from sawt_qap.errors import NumericalAbortError, ValidationError
 from sawt_qap.nn import Adam
@@ -362,6 +362,67 @@ def test_evaluate_mixed_sizes(policy):
     # One timed batch per size bucket, covering every instance once.
     assert [idxs for idxs, _ in res.batches] == [[0, 2], [1]]
     assert all(wall_s > 0.0 for _, wall_s in res.batches)
+
+
+MIXED = SawtConfig(d_emb=32, n_heads=4, n_layers=2, n_init=32, gcn_layers=1,
+                  fac_blocks=1, ffn_mult=2, dtype="float32")
+
+
+def _mixed_eval_instances():
+    return [generate_instance(6 if k % 3 else 20, seed=320 + k) for k in range(9)]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 40])
+def test_evaluate_matches_uncached_reference(steps):
+    policy = SawtPolicy(MIXED, seed=3)
+    instances = _mixed_eval_instances()
+    res = evaluate(policy, instances, steps=steps, seed=11)
+    ref = helpers.uncached_evaluate(policy, instances, steps=steps, seed=11)
+    assert np.array_equal(res.best_costs, ref.best_costs)
+    for got, want in zip(res.best_sigmas, ref.best_sigmas):
+        assert np.array_equal(got, want)
+
+
+def test_evaluate_reencodes_only_changed_incumbents(monkeypatch):
+    # At random init the heads barely react to the best-so-far encoding, so
+    # equal search results alone would miss a stale cache: check the cache
+    # against a full encode of the incumbent before every act, and count the
+    # rows encoded.
+    policy = SawtPolicy(MIXED, seed=3)
+    instances = _mixed_eval_instances()
+    steps = 40
+    latest, encoded_rows, improved = {}, [], []
+    real_act, real_encode = policy.act, policy.encode
+    real_reset, real_step = rl.reset_state, rl.step_state
+
+    def tracking_reset(batch, *args, **kwargs):
+        latest["state"] = real_reset(batch, *args, **kwargs)
+        return latest["state"]
+
+    def tracking_step(batch, state, swaps):
+        latest["state"], rewards = real_step(batch, state, swaps)
+        improved.append(int((rewards > 0).sum()))
+        return latest["state"], rewards
+
+    def counting_encode(batch, sigma):
+        encoded_rows.append(batch.size)
+        return real_encode(batch, sigma)
+
+    def checking_act(batch, sigma, h_best, **kwargs):
+        fresh = real_encode(batch, latest["state"].best_sigma)
+        assert np.array_equal(h_best.data, fresh.data)
+        return real_act(batch, sigma, h_best, **kwargs)
+
+    monkeypatch.setattr(policy, "act", checking_act)
+    monkeypatch.setattr(policy, "encode", counting_encode)
+    monkeypatch.setattr(rl, "reset_state", tracking_reset)
+    monkeypatch.setattr(rl, "step_state", tracking_step)
+    evaluate(policy, instances, steps=steps, seed=11)
+    # Two size buckets; per batch one full best-so-far pass, then one full
+    # pass per act, plus the rows whose incumbent changed.
+    assert len(improved) == 2 * steps and sum(improved) > 0
+    assert sum(encoded_rows) - (steps + 1) * len(instances) == sum(improved)
+    assert len(encoded_rows) == 2 * (steps + 1) + sum(k > 0 for k in improved)
 
 
 def test_train_smoke_and_metrics_file(tmp_path):

@@ -199,6 +199,22 @@ class TestPowerIteration:
         assert not res.converged and res.iterations == 1000
         assert "did not converge" in caplog.text
 
+    @pytest.mark.parametrize("which", ["chr12c", "generated"])
+    def test_unconverged_result_ignores_max_iter_parity(self, which):
+        # Both oscillate; projecting the sum of the last two iterates picks
+        # the same assignment whichever of the pair the budget ends on.
+        if which == "chr12c":
+            inst = parse_qaplib(fixture_dir().joinpath("chr12c.dat").read_bytes(), "chr12c")
+        else:
+            inst = sq.generate_instance(6, p=0.7, seed=4)
+        even = sv.spectral_matching(inst, max_iter=1000)
+        odd = sv.spectral_matching(inst, max_iter=1001)
+        assert not even.converged and not odd.converged
+        assert even.assignment.cost == odd.assignment.cost
+        np.testing.assert_array_equal(even.assignment.sigma, odd.assignment.sigma)
+        if which == "chr12c":
+            assert even.assignment.cost == 57404.0
+
 
 class TestHungarianProjection:
     def test_maximizes_linear_score(self, rng):
