@@ -237,6 +237,8 @@ def _run_solver(name: str, instances: list[QapInstance], steps: int, *, threads:
     ``fp64_check`` re-verifies every best cost with a float64 objective
     recomputation and raises :class:`NumericalAbortError` on a mismatch.
     """
+    if steps < 0:
+        raise ValidationError(f"--steps must be >= 0, got {steps}")
     if name == "sawt":
         policy, _, _ = load_policy(checkpoint)
         res = evaluate(policy, instances, steps=steps, seed=seed)
@@ -501,7 +503,11 @@ def cmd_train(args) -> int:
     config = {
         "train": train_cfg.to_dict(),
         "model": policy.config.to_dict(),
-        "data": data if not args.data else {"data_dir": args.data},
+        # With --data, n and p size only the generated eval set.
+        "data": data if not args.data else {
+            "data_dir": args.data, "n": data["n"], "p": data["p"],
+            "eval_count": data["eval_count"],
+        },
         "resume": args.resume,
         "start_epoch": start_epoch,
     }
@@ -740,9 +746,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=str, default=None,
                    help="directory of instance files (otherwise instances are "
                         "generated per the data config)")
-    p.add_argument("--n", type=int, default=None, help="generated instance size")
+    p.add_argument("--n", type=int, default=None,
+                   help="generated instance size (with --data: of the eval set only)")
     p.add_argument("--count", type=int, default=None, help="generated training instances")
-    p.add_argument("--p", type=float, default=None, help="generated flow sparsity")
+    p.add_argument("--p", type=float, default=None,
+                   help="generated flow sparsity (with --data: of the eval set only)")
     p.add_argument("--eval-count", dest="eval_count", type=int, default=None,
                    help="held-out generated instances for eval")
     p.add_argument("--epochs", type=int, default=None)

@@ -7,17 +7,17 @@ topological order and accumulates gradients into every tensor that has
 and ``matmul`` semantics, and gradients are un-broadcast back to the operand
 shapes.
 
-Supported dtypes are float32 (training default) and float64 (used by the
-finite-difference test harness).  Graph recording can be suspended with
-:func:`no_grad` for evaluation rollouts.
+Supported dtypes are float32 (training default) and float64 (for the
+finite-difference gradient checks, which live with the tests).  Graph
+recording can be suspended with :func:`no_grad` for evaluation rollouts.
 
 Most of the cost of a training step is Python work per graph node, so the
 policy's layers are fused: :func:`linear`, :func:`layer_norm` and
 :func:`mixed_attention` (head split, scaled and mixed scores, softmax, value
 product, head merge) each record one node with a hand-written backward.  Their
 forwards evaluate the same numpy expressions, in the same order, as the
-composites of primitives they replace, so outputs are bit-identical to those
-composites.
+composites of primitives they replace (kept as test oracles), so outputs are
+bit-identical to those composites.
 
 Every op's backward returns one ``(parent, grad)`` pair per parent, constants
 included; :meth:`Tensor.backward` keeps only the gradients that reach a tracked
@@ -27,7 +27,7 @@ node or a ``requires_grad`` leaf.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,31 +40,23 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "neg",
     "matmul",
     "relu",
-    "exp",
     "log",
-    "sqrt",
-    "power",
     "xlogx",
     "tensor_sum",
     "mean",
     "tensor_max",
     "softmax",
     "concat",
-    "stack",
     "reshape",
-    "transpose",
     "broadcast_to",
     "take_rows",
     "permute_rows",
     "layer_norm",
     "linear",
     "mixed_attention",
-    "fd_gradient",
-    "gradcheck",
 ]
 
 _grad_enabled = True
@@ -150,19 +142,19 @@ class Tensor:
             seed = np.ones_like(self.data)
         topo: list[Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
+        pending: list[tuple[Tensor, bool]] = [(self, False)]
+        while pending:
+            node, processed = pending.pop()
             if processed:
                 topo.append(node)
                 continue
             if id(node) in visited:
                 continue
             visited.add(id(node))
-            stack.append((node, True))
+            pending.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
-                    stack.append((p, False))
+                    pending.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.asarray(seed, dtype=self.dtype)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
@@ -177,40 +169,6 @@ class Tensor:
                         grads[key] = grads[key] + pg
                     else:
                         grads[key] = pg
-
-    # -- operator sugar -----------------------------------------------------------
-    def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self.dtype))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other, self.dtype))
-
-
-def _wrap(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -257,16 +215,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        return (
-            (a, _unbroadcast(g / b.data, a.shape)),
-            (b, _unbroadcast(-g * a.data / (b.data**2), b.shape)),
-        )
-
-    return _make(a.data / b.data, (a, b), backward)
-
-
 def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), lambda g: ((a, -g),))
 
@@ -280,36 +228,11 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.where(mask, a.data, 0.0), (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        return ((a, g * out_data),)
-
-    return _make(out_data, (a,), backward)
-
-
 def log(a: Tensor) -> Tensor:
     def backward(g):
         return ((a, g / a.data),)
 
     return _make(np.log(a.data), (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        return ((a, g / (2.0 * out_data)),)
-
-    return _make(out_data, (a,), backward)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    def backward(g):
-        return ((a, g * exponent * a.data ** (exponent - 1.0)),)
-
-    return _make(a.data**exponent, (a,), backward)
 
 
 def xlogx(a: Tensor) -> Tensor:
@@ -423,30 +346,11 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = tuple(tensors)
-
-    def backward(g):
-        pieces = np.split(g, len(tensors), axis=axis)
-        return tuple((t, p.squeeze(axis)) for t, p in zip(tensors, pieces))
-
-    return _make(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         return ((a, g.reshape(a.shape)),)
 
     return _make(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    inverse = np.argsort(axes)
-
-    def backward(g):
-        return ((a, g.transpose(inverse)),)
-
-    return _make(a.data.transpose(axes), (a,), backward)
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
@@ -577,59 +481,3 @@ def mixed_attention(q: Tensor, k: Tensor, v: Tensor, mix: np.ndarray,
         )
 
     return _make(merge(att @ vh), (q, k, v), backward)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference harness.
-# ---------------------------------------------------------------------------
-
-
-def fd_gradient(fn: Callable[[], Tensor], x: Tensor, h: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient of scalar ``fn()`` w.r.t. ``x.data``."""
-    grad = np.zeros_like(x.data)
-    flat = x.data.ravel()
-    gflat = grad.ravel()
-    for k in range(flat.size):
-        orig = flat[k]
-        flat[k] = orig + h
-        fp = float(fn().data)
-        flat[k] = orig - h
-        fm = float(fn().data)
-        flat[k] = orig
-        gflat[k] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def gradcheck(
-    fn: Callable[[], Tensor],
-    inputs: Iterable[Tensor],
-    h: float = 1e-5,
-    rel_tol: float = 1e-5,
-    abs_tol: float = 1e-7,
-) -> float:
-    """Compare analytic and finite-difference gradients; returns max rel err.
-
-    ``fn`` must rebuild the graph from ``inputs`` on every call and return a
-    scalar.  Inputs should be float64 for the tolerances to be meaningful.
-
-    Raises:
-        AssertionError: If any input's gradient disagrees beyond tolerance.
-    """
-    for t in inputs:
-        t.zero_grad()
-    out = fn()
-    out.backward()
-    worst = 0.0
-    for t in inputs:
-        assert t.grad is not None, f"no gradient reached input {t!r}"
-        numeric = fd_gradient(fn, t, h=h)
-        denom = np.maximum(np.abs(numeric), np.abs(t.grad))
-        err = np.abs(t.grad - numeric)
-        rel = err / np.maximum(denom, 1.0)
-        bad = (err > abs_tol) & (rel > rel_tol)
-        assert not bad.any(), (
-            f"gradient mismatch for {t!r}: max abs err {err.max():.3e}, "
-            f"max rel err {rel.max():.3e}"
-        )
-        worst = max(worst, float(rel.max()))
-    return worst

@@ -169,6 +169,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        if self.eval_every < 0:
+            raise ValidationError(f"eval_every must be >= 0 (0 = never), got {self.eval_every}")
         if self.batch_size < 1 or self.episode_length < 1:
             raise ValidationError("batch_size and episode_length must be positive")
         if self.return_window < 1 or self.eval_steps < 1:

@@ -3,18 +3,126 @@
 The oracles here are deliberately written as plain Python double loops (no
 shared code with the package's kernels) so they can serve as independent
 references for the fast paths.
+
+This module also holds the autodiff pieces only the tests need: the graph ops
+``div``, ``sqrt``, ``transpose`` and ``stack``, which the package's policy and
+trainer never call but the reference oracles below do, and the
+finite-difference harness ``fd_gradient``/``gradcheck``.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from sawt_qap import nn
 from sawt_qap.core import QapInstance, make_rng
 from sawt_qap.errors import NumericalAbortError
+from sawt_qap.nn.tensor import Tensor, _make, _unbroadcast
 from sawt_qap.rl import (
     EVAL_BATCH_SIZE, EvalResult, _batches, compute_returns, reset_state, step_state,
 )
+
+
+# ---------------------------------------------------------------------------
+# Graph ops used only by the reference oracles, built on the engine's node
+# constructor: same conventions as the ops in ``sawt_qap.nn.tensor``.
+# ---------------------------------------------------------------------------
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    def backward(g):
+        return (
+            (a, _unbroadcast(g / b.data, a.shape)),
+            (b, _unbroadcast(-g * a.data / (b.data**2), b.shape)),
+        )
+
+    return _make(a.data / b.data, (a, b), backward)
+
+
+def sqrt(a: Tensor) -> Tensor:
+    out_data = np.sqrt(a.data)
+
+    def backward(g):
+        return ((a, g / (2.0 * out_data)),)
+
+    return _make(out_data, (a,), backward)
+
+
+def transpose(a: Tensor, axes) -> Tensor:
+    inverse = np.argsort(axes)
+
+    def backward(g):
+        return ((a, g.transpose(inverse)),)
+
+    return _make(a.data.transpose(axes), (a,), backward)
+
+
+def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    tensors = tuple(tensors)
+
+    def backward(g):
+        pieces = np.split(g, len(tensors), axis=axis)
+        return tuple((t, p.squeeze(axis)) for t, p in zip(tensors, pieces))
+
+    return _make(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference harness.
+# ---------------------------------------------------------------------------
+
+
+def fd_gradient(fn: Callable[[], Tensor], x: Tensor, h: float = 1e-5) -> np.ndarray:
+    """Central finite-difference gradient of scalar ``fn()`` w.r.t. ``x.data``."""
+    grad = np.zeros_like(x.data)
+    flat = x.data.ravel()
+    gflat = grad.ravel()
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        fp = float(fn().data)
+        flat[k] = orig - h
+        fm = float(fn().data)
+        flat[k] = orig
+        gflat[k] = (fp - fm) / (2.0 * h)
+    return grad
+
+
+def gradcheck(
+    fn: Callable[[], Tensor],
+    inputs: Iterable[Tensor],
+    h: float = 1e-5,
+    rel_tol: float = 1e-5,
+    abs_tol: float = 1e-7,
+) -> float:
+    """Compare analytic and finite-difference gradients; returns max rel err.
+
+    ``fn`` must rebuild the graph from ``inputs`` on every call and return a
+    scalar.  Inputs should be float64 for the tolerances to be meaningful.
+
+    Raises:
+        AssertionError: If any input's gradient disagrees beyond tolerance.
+    """
+    for t in inputs:
+        t.zero_grad()
+    out = fn()
+    out.backward()
+    worst = 0.0
+    for t in inputs:
+        assert t.grad is not None, f"no gradient reached input {t!r}"
+        numeric = fd_gradient(fn, t, h=h)
+        denom = np.maximum(np.abs(numeric), np.abs(t.grad))
+        err = np.abs(t.grad - numeric)
+        rel = err / np.maximum(denom, 1.0)
+        bad = (err > abs_tol) & (rel > rel_tol)
+        assert not bad.any(), (
+            f"gradient mismatch for {t!r}: max abs err {err.max():.3e}, "
+            f"max rel err {rel.max():.3e}"
+        )
+        worst = max(worst, float(rel.max()))
+    return worst
 
 
 def naive_objective(flow, distance, sigma) -> float:
@@ -272,9 +380,9 @@ def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
         rewards.append(r)
     rewards = np.stack(rewards)  # (T, B)
     returns = compute_returns(rewards, config.gamma, config.return_window)
-    logp = nn.stack([o.log_prob for o in outs], axis=0)  # (T, B)
-    values = nn.stack([o.value for o in outs], axis=0)  # (T, B)
-    entropy = nn.stack([o.entropy for o in outs], axis=0)  # (T, B)
+    logp = stack([o.log_prob for o in outs], axis=0)  # (T, B)
+    values = stack([o.value for o in outs], axis=0)  # (T, B)
+    entropy = stack([o.entropy for o in outs], axis=0)  # (T, B)
     dt = logp.dtype
     advantage = returns - values.data.astype(np.float64)  # detached baseline
     coef = config.entropy_beta * config.entropy_decay**epoch
@@ -355,7 +463,7 @@ def layer_norm_composite(a, gain, bias, eps=1e-5):
     mu = nn.mean(a, axis=-1, keepdims=True)
     centered = nn.sub(a, mu)
     var = nn.mean(nn.mul(centered, centered), axis=-1, keepdims=True)
-    inv = nn.div(centered, nn.sqrt(nn.add(var, nn.Tensor.const(np.asarray(eps, dtype=a.dtype)))))
+    inv = div(centered, sqrt(nn.add(var, nn.Tensor.const(np.asarray(eps, dtype=a.dtype)))))
     return nn.add(nn.mul(inv, gain), bias)
 
 
@@ -363,14 +471,14 @@ def mixed_attention_composite(q, k, v, mix, scale, n_heads):
     b, n, d = q.shape
 
     def split(x):
-        return nn.transpose(nn.reshape(x, (b, n, n_heads, d // n_heads)), (0, 2, 1, 3))
+        return transpose(nn.reshape(x, (b, n, n_heads, d // n_heads)), (0, 2, 1, 3))
 
     scores = nn.mul(
         nn.mul(
-            nn.matmul(split(q), nn.transpose(split(k), (0, 1, 3, 2))),
+            nn.matmul(split(q), transpose(split(k), (0, 1, 3, 2))),
             nn.Tensor.const(np.asarray(scale, dtype=q.dtype)),
         ),
         nn.reshape(nn.Tensor.const(np.asarray(mix, dtype=q.dtype)), (b, 1, n, n)),
     )
     att = nn.matmul(nn.softmax(scores, axis=-1), split(v))
-    return nn.reshape(nn.transpose(att, (0, 2, 1, 3)), (b, n, d))
+    return nn.reshape(transpose(att, (0, 2, 1, 3)), (b, n, d))

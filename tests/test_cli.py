@@ -291,6 +291,19 @@ def test_solve_rejects_flags_its_solver_ignores(gen_dir, tmp_path, capsys, solve
     assert not out.exists()
 
 
+@pytest.mark.parametrize("solver", ["brute", "sm"])
+@pytest.mark.parametrize("command", ["solve", "qaplib bench"])
+def test_negative_steps_rejected_for_every_solver(gen_dir, tmp_path, capsys, solver, command):
+    # brute and sm read no --steps, yet a negative budget is still an error
+    # (exit 3) rather than a value written into results.csv.
+    out = tmp_path / "run"
+    argv = {"solve": ["solve", "--instances", str(gen_dir), "--reference", "none"],
+            "qaplib bench": ["qaplib", "bench", "had12"]}[command]
+    assert main([*argv, "--solver", solver, "--steps", "-5", "--out", str(out)]) == 3
+    assert "--steps" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # train + sawt solve
 # ---------------------------------------------------------------------------
@@ -386,6 +399,27 @@ def test_train_bad_config_keys(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"train": {"epoch_count": 1}}))
     assert main(["train", "--config", str(cfg_path), "--out",
                  str(tmp_path / "y")]) == 3
+
+
+def test_train_rejects_negative_eval_every(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--n", "5", "--count", "2", "--epochs", "1",
+                 "--eval-every", "-1", "--out", str(out)]) == 3
+    assert "eval_every" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_data_manifest_records_the_eval_set(gen_dir, tmp_path):
+    # With --data, --n/--p/--eval-count still size a generated eval set.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(SMALL_MODEL))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(gen_dir), "--n", "5", "--p", "0.5",
+                 "--eval-count", "2", "--epochs", "1", "--batch-size", "2",
+                 "--episode-length", "2", "--eval-every", "1", "--eval-steps", "2",
+                 "--config", str(cfg_path), "--out", str(out)]) == 0
+    data = json.loads((out / "manifest.json").read_text())["config"]["data"]
+    assert data == {"data_dir": str(gen_dir), "n": 5, "p": 0.5, "eval_count": 2}
 
 
 def test_solve_sawt_and_zero_steps(trained, gen_dir, tmp_path):

@@ -1,9 +1,21 @@
 """Autodiff engine: finite-difference oracles, Adam, checkpoint integrity."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from helpers import layer_norm_composite, linear_composite, mixed_attention_composite
+from helpers import (
+    div,
+    gradcheck,
+    layer_norm_composite,
+    linear_composite,
+    mixed_attention_composite,
+    sqrt,
+    stack,
+    transpose,
+)
+from sawt_qap import generate_instance, nn
 from sawt_qap.errors import CheckpointError, ValidationError
 from sawt_qap.nn import (
     Adam,
@@ -11,9 +23,6 @@ from sawt_qap.nn import (
     add,
     broadcast_to,
     concat,
-    div,
-    exp,
-    gradcheck,
     layer_norm,
     linear,
     log,
@@ -21,24 +30,23 @@ from sawt_qap.nn import (
     mean,
     mixed_attention,
     mul,
+    neg,
     no_grad,
     permute_rows,
-    power,
     relu,
     reshape,
     softmax,
-    sqrt,
-    stack,
     sub,
     take_rows,
     tensor_max,
     tensor_sum,
-    transpose,
     xlogx,
     load_checkpoint,
     save_checkpoint,
 )
 from sawt_qap.nn import tensor as T
+from sawt_qap.policy import SawtConfig, SawtPolicy
+from sawt_qap.rl import TrainConfig, evaluate, reinforce_update
 
 
 def leaf(rng, *shape, positive=False, spread=1.0):
@@ -55,12 +63,12 @@ def leaf(rng, *shape, positive=False, spread=1.0):
 
 def test_fd_add_broadcast(rng):
     a, b = leaf(rng, 3, 4), leaf(rng, 1, 4)
-    gradcheck(lambda: tensor_sum(mul(a + b, a + b)), [a, b])
+    gradcheck(lambda: tensor_sum(mul(add(a, b), add(a, b))), [a, b])
 
 
 def test_fd_sub_and_neg(rng):
     a, b = leaf(rng, 2, 5), leaf(rng, 2, 5)
-    gradcheck(lambda: tensor_sum(mul(sub(a, b), -b)), [a, b])
+    gradcheck(lambda: tensor_sum(mul(sub(a, b), neg(b))), [a, b])
 
 
 def test_fd_mul_broadcast(rng):
@@ -92,13 +100,10 @@ def test_fd_relu_away_from_kink(rng):
     gradcheck(lambda: tensor_sum(relu(a)), [a])
 
 
-def test_fd_exp_log_sqrt_power(rng):
+def test_fd_log_sqrt(rng):
     a = leaf(rng, 3, 3, positive=True)
-    gradcheck(lambda: tensor_sum(exp(a)), [a])
     gradcheck(lambda: tensor_sum(log(a)), [a])
     gradcheck(lambda: tensor_sum(sqrt(a)), [a])
-    gradcheck(lambda: tensor_sum(power(a, 3.0)), [a])
-    gradcheck(lambda: tensor_sum(power(a, -0.5)), [a])
 
 
 def test_fd_xlogx(rng):
@@ -314,7 +319,7 @@ def test_const_operand_gets_no_gradient(rng):
 
 def test_gradient_accumulates_on_reuse(rng):
     x = leaf(rng, 3)
-    y = tensor_sum(x + x)
+    y = tensor_sum(add(x, x))
     y.backward()
     np.testing.assert_allclose(x.grad, 2.0 * np.ones(3))
 
@@ -322,7 +327,7 @@ def test_gradient_accumulates_on_reuse(rng):
 def test_diamond_graph_accumulation(rng):
     x = leaf(rng, 4)
     a = mul(x, x)
-    out = tensor_sum(a + a + mul(x, Tensor.const(np.float64(3.0))))
+    out = tensor_sum(add(add(a, a), mul(x, Tensor.const(np.float64(3.0)))))
     out.backward()
     np.testing.assert_allclose(x.grad, 4.0 * x.data + 3.0, rtol=1e-12)
 
@@ -353,7 +358,7 @@ def test_seeded_backward_equals_weighted_sum(rng):
 def test_backward_requires_scalar(rng):
     x = leaf(rng, 3)
     with pytest.raises(ValidationError):
-        (x + x).backward()
+        add(x, x).backward()
 
 
 def test_no_grad_builds_no_graph(rng):
@@ -390,6 +395,35 @@ def test_softmax_overflow_stability():
 def test_float32_default_dtype():
     t = Tensor(np.arange(4))
     assert t.dtype == np.float32
+
+
+def test_engine_has_no_dead_op(monkeypatch):
+    # Every public function of the engine, bar the grad-mode switches, is a
+    # graph op that one training update or one evaluation actually calls.
+    # The policy and the trainer look ops up on ``sawt_qap.nn``: count there.
+    calls = {}
+    for name, fn in vars(T).items():
+        if (name.startswith("_") or name in ("no_grad", "is_grad_enabled")
+                or not inspect.isfunction(fn) or fn.__module__ != T.__name__):
+            continue
+        calls[name] = 0
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(nn, name, counted)
+    model = SawtConfig(d_emb=8, n_heads=2, n_layers=1, n_init=8, gcn_layers=1,
+                       fac_blocks=1, ffn_mult=2)
+    policy = SawtPolicy(model, seed=0)
+    instances = [generate_instance(6, seed=300 + k) for k in range(2)]
+    rng = np.random.default_rng(0)
+    batch = policy.embed_instances(instances, rng)
+    config = TrainConfig(epochs=1, batch_size=2, episode_length=4)
+    reinforce_update(policy, Adam(policy.params), batch, config, rng)
+    evaluate(policy, instances, steps=4)
+    assert len(calls) >= 20
+    assert not [name for name, count in calls.items() if count == 0]
 
 
 # ---------------------------------------------------------------------------

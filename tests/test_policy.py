@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import fd_gradient
 from sawt_qap import QapInstance, generate_instance, objective
 from sawt_qap.errors import CheckpointError, ValidationError
-from sawt_qap.nn import Adam, Tensor, fd_gradient, no_grad, tensor_sum
+from sawt_qap.nn import Adam, Tensor, add, no_grad, tensor_sum
 from sawt_qap.policy import (
     ActionOutput,
     InstanceBatch,
@@ -337,7 +338,7 @@ def test_policy_gradient_flows_everywhere(rng):
     batch, _ = make_batch(policy, rng, b=2, n=5)
     sigma = np.tile(np.arange(5), (2, 1))
     out = policy.act(batch, sigma, policy.encode(batch, sigma), rng=rng)
-    loss = tensor_sum(out.log_prob) + tensor_sum(out.value) + tensor_sum(out.entropy)
+    loss = add(add(tensor_sum(out.log_prob), tensor_sum(out.value)), tensor_sum(out.entropy))
     loss.backward()
     missing = [k for k, t in policy.params.items() if t.grad is None]
     assert not missing, f"no gradient reached: {missing}"
@@ -353,7 +354,7 @@ def test_policy_gradient_matches_finite_differences(rng):
     def scalar():
         batch = policy.embed_instances([inst], np.random.default_rng(5))
         out = policy.act(batch, sigma, policy.encode(batch, sigma), forced=forced)
-        return tensor_sum(out.log_prob) + tensor_sum(out.value) + tensor_sum(out.entropy)
+        return add(add(tensor_sum(out.log_prob), tensor_sum(out.value)), tensor_sum(out.entropy))
 
     checked = [
         "loc.lift.w", "loc.gcn0.w", "fac.b0.wq.w", "fac.out.b", "enc.fuse.w",

@@ -551,6 +551,8 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValidationError):
         TrainConfig(init="greedy")
+    with pytest.raises(ValidationError, match="eval_every"):
+        TrainConfig(eval_every=-1)  # 0 means never; -1 is not an alias of 1
     with pytest.raises(ValidationError):
         train(SawtPolicy(TINY), [])
 
