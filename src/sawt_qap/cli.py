@@ -138,6 +138,17 @@ def _print_summary(rows: list[dict]) -> None:
         print(f"flagged rows (excluded from gap aggregate): {', '.join(flagged)}")
 
 
+def _read_json_object(path: str | Path) -> dict:
+    """Parse a JSON file named on the command line; it must hold an object."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{path}: not a JSON file ({err})") from None
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _load_instance_file(path: Path) -> QapInstance:
     if path.suffix == ".dat":
         return qaplib.parse_qaplib(path.read_text(), name=path.stem)
@@ -298,8 +309,12 @@ def _reference_costs(instances: list[QapInstance], mode: str, threads: int,
     if mode == "none":
         return [None] * len(instances)
     if mode not in ("auto", "brute", "tabu"):
-        table = json.loads(Path(mode).read_text())
-        return [float(table[inst.name]) if inst.name in table else None for inst in instances]
+        table = _read_json_object(mode)
+        try:
+            table = {name: float(cost) for name, cost in table.items()}
+        except (TypeError, ValueError):
+            raise ValidationError(f"{mode}: reference costs must be numbers") from None
+        return [table.get(inst.name) for inst in instances]
     methods = [("brute" if inst.n <= BRUTE_FORCE_MAX_N else "tabu") if mode == "auto" else mode
                for inst in instances]
     refs = [None] * len(instances)
@@ -414,7 +429,6 @@ _TRAIN_OVERRIDES = (
     "epochs", "batch_size", "episode_length", "lr", "entropy_beta", "eval_every",
     "eval_steps",
 )
-_DATA_KEYS = ("n", "count", "p", "eval_count")
 _DATA_DEFAULTS = {"n": 6, "count": 256, "p": 0.7, "eval_count": 64}
 
 
@@ -422,13 +436,16 @@ def _resolve_train_config(args) -> tuple[TrainConfig, SawtConfig, dict]:
     """Defaults < config file < CLI flags, mirroring TrainConfig/SawtConfig keys."""
     file_cfg: dict = {}
     if args.config:
-        file_cfg = json.loads(Path(args.config).read_text())
+        file_cfg = _read_json_object(args.config)
         unknown = set(file_cfg) - {"train", "model", "data"}
         if unknown:
             raise ValidationError(
                 f"unknown top-level config keys: {sorted(unknown)} "
                 "(expected 'train', 'model', 'data')"
             )
+        for section, value in file_cfg.items():
+            if not isinstance(value, dict):
+                raise ValidationError(f"config section {section!r} must be a JSON object")
     train_kwargs = dict(file_cfg.get("train", {}))
     for key in _TRAIN_OVERRIDES:
         value = getattr(args, key, None)
@@ -438,11 +455,17 @@ def _resolve_train_config(args) -> tuple[TrainConfig, SawtConfig, dict]:
     if seed is not None:
         train_kwargs["seed"] = seed
     model_kwargs = dict(file_cfg.get("model", {}))
+    unknown = set(file_cfg.get("data", {})) - set(_DATA_DEFAULTS)
+    if unknown:
+        raise ValidationError(f"unknown data config keys: {sorted(unknown)} "
+                              f"(expected {sorted(_DATA_DEFAULTS)})")
     data = {**_DATA_DEFAULTS, **file_cfg.get("data", {})}
-    for key in _DATA_KEYS:
+    for key in _DATA_DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
+    if not isinstance(data["eval_count"], int) or data["eval_count"] < 0:
+        raise ValidationError(f"eval_count must be an integer >= 0, got {data['eval_count']!r}")
     try:
         return TrainConfig(**train_kwargs), SawtConfig(**model_kwargs), data
     except TypeError as err:
@@ -479,26 +502,33 @@ def cmd_train(args) -> int:
         print(f"resuming from {args.resume} at epoch {start_epoch}")
     else:
         policy = SawtPolicy(model_cfg, seed=train_cfg.seed)
+    optimizer = optimizer or Adam(policy.params, lr=train_cfg.lr)
 
-    ckpt_path = run_dir / "policy.ckpt"
-    result = train(
-        policy,
-        instances,
-        train_cfg,
-        eval_instances=eval_instances,
-        metrics_path=run_dir / "metrics.jsonl",
-        checkpoint_path=ckpt_path,
-        log=lambda row: print(
-            f"epoch {row['epoch']:3d}  best_cost_mean {row['best_cost_mean']:.4f}  "
-            f"loss {row['loss']:.4f}  entropy {row['entropy']:.3f}"
-            + (f"  eval {row['eval_cost_mean']:.4f}" if "eval_cost_mean" in row else "")
-        ),
-        start_epoch=start_epoch,
-        optimizer=optimizer,
-    )
-    if not result.history:  # epochs=0: still leave a loadable checkpoint
-        save_policy(ckpt_path, policy, result.optimizer,
-                    meta={"epoch": start_epoch - 1, "train_config": train_cfg.to_dict()})
+    def save(name: str, epoch: int) -> None:
+        save_policy(run_dir / name, policy, optimizer,
+                    meta={"epoch": epoch, "train_config": train_cfg.to_dict()})
+
+    best_eval = np.inf  # policy_best.ckpt, once written, holds the epoch that set it
+    with open(run_dir / "metrics.jsonl", "w") as metrics_file:
+
+        def on_epoch(row: dict) -> None:
+            nonlocal best_eval
+            metrics_file.write(json.dumps(row, sort_keys=True) + "\n")
+            metrics_file.flush()
+            save("policy.ckpt", row["epoch"])
+            if row.get("eval_cost_mean", np.inf) < best_eval:
+                best_eval = row["eval_cost_mean"]
+                save("policy_best.ckpt", row["epoch"])
+            print(
+                f"epoch {row['epoch']:3d}  best_cost_mean {row['best_cost_mean']:.4f}  "
+                f"loss {row['loss']:.4f}  entropy {row['entropy']:.3f}"
+                + (f"  eval {row['eval_cost_mean']:.4f}" if "eval_cost_mean" in row else "")
+            )
+
+        rows = train(policy, instances, train_cfg, eval_instances=eval_instances,
+                     start_epoch=start_epoch, optimizer=optimizer, on_epoch=on_epoch)
+    if not rows:  # epochs=0: still leave a loadable checkpoint
+        save("policy.ckpt", start_epoch - 1)
 
     config = {
         "train": train_cfg.to_dict(),
@@ -511,12 +541,12 @@ def cmd_train(args) -> int:
         "resume": args.resume,
         "start_epoch": start_epoch,
     }
-    best = ["policy_best.ckpt"] if (run_dir / "policy_best.ckpt").is_file() else []
+    best = ["policy_best.ckpt"] if best_eval < np.inf else []
     _write_manifest(
         run_dir, args, "train", config, started,
         deterministic=["policy.ckpt", *best], volatile=["metrics.jsonl"],
     )
-    print(f"trained {len(result.history)} epochs; checkpoint at {ckpt_path}")
+    print(f"trained {len(rows)} epochs; checkpoint at {run_dir / 'policy.ckpt'}")
     return 0
 
 
@@ -541,15 +571,7 @@ def cmd_qaplib_bench(args) -> int:
     if not names:
         raise ValidationError("qaplib bench needs at least one instance name")
     run_dir = _prepare_run_dir(args.out)
-    entries = []
-    for name in names:
-        try:
-            entries.append(qaplib.load_entry(name, data_dir=args.data_dir))
-        except FileNotFoundError:
-            raise FileNotFoundError(
-                f"QAPLIB instance {name!r} is not available locally; run "
-                f"`sawt-qap qaplib fetch {name}` (and set SAWT_QAP_DATA_DIR) first"
-            ) from None
+    entries = [qaplib.load_entry(name, data_dir=args.data_dir) for name in names]
     parts = _run_solver(args.solver, [e.instance for e in entries], args.steps,
                         threads=args.threads, fp64_check=args.fp64_check)
     rows = _write_results(run_dir, args.solver, args.steps, args.seed,
@@ -559,11 +581,9 @@ def cmd_qaplib_bench(args) -> int:
 
     # Per-category mean/min/max over rows that have a usable gap.
     by_cat: dict[str, list[float]] = {}
-    for row in rows:
-        if row["gap"] is None:
-            continue
-        category = qaplib.parse_name(row["instance"])[0]
-        by_cat.setdefault(category, []).append(row["gap"])
+    for entry, row in zip(entries, rows):
+        if row["gap"] is not None:
+            by_cat.setdefault(entry.category, []).append(row["gap"])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("category", "count", "mean_gap", "min_gap", "max_gap"))
@@ -612,11 +632,16 @@ def cmd_rerun(args) -> int:
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_json_object(manifest_path)
     original_dir = manifest_path.parent
-    argv = list(manifest.get("argv", []))
+    argv = manifest.get("argv")
+    outputs = manifest.get("outputs", {})
+    deterministic = outputs.get("deterministic", []) if isinstance(outputs, dict) else None
     if not argv:
         raise ValidationError("manifest records no argv; cannot rerun")
+    for key, value in (("argv", argv), ("outputs.deterministic", deterministic)):
+        if not isinstance(value, list) or not all(isinstance(tok, str) for tok in value):
+            raise ValidationError(f"{manifest_path}: {key} must be a list of strings")
 
     new_argv = []
     skip = False
@@ -638,7 +663,7 @@ def cmd_rerun(args) -> int:
         return code
 
     mismatches = []
-    for rel in manifest.get("outputs", {}).get("deterministic", []):
+    for rel in deterministic:
         old_file = original_dir / rel
         new_file = Path(args.out) / rel
         if not old_file.is_file():
@@ -651,8 +676,7 @@ def cmd_rerun(args) -> int:
         for m in mismatches:
             print(f"mismatch — {m}", file=sys.stderr)
         return 3
-    n = len(manifest.get("outputs", {}).get("deterministic", []))
-    print(f"rerun reproduced {n} deterministic output file(s) bit-identically")
+    print(f"rerun reproduced {len(deterministic)} deterministic output file(s) bit-identically")
     return 0
 
 
@@ -670,11 +694,6 @@ def _run_flags(sub: argparse.ArgumentParser) -> None:
                      help="run directory; receives manifest.json and results")
 
 
-def _threads_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads across instances (default: 1)")
-
-
 def _config_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=str, default=None,
                      help="JSON config file with 'train'/'model'/'data' sections")
@@ -682,7 +701,8 @@ def _config_flag(sub: argparse.ArgumentParser) -> None:
 
 def _solve_flags(sub: argparse.ArgumentParser) -> None:
     _run_flags(sub)
-    _threads_flag(sub)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="worker threads across instances (default: 1)")
     sub.add_argument("--fp64-check", action="store_true",
                      help="re-verify every reported cost with a float64 "
                           "objective recomputation (exit 4 on mismatch)")
@@ -763,7 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", type=str, default=None,
                    help="checkpoint to resume from (continues epoch numbering)")
     _run_flags(p)
-    _threads_flag(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored: train runs on one thread; the flag is kept only "
+                        "so existing command lines still parse")
     _config_flag(p)
     p.set_defaults(func=cmd_train, seed=None)
 

@@ -21,17 +21,16 @@ step's graph as soon as its return is complete, so at most w + 1 step graphs
 are alive at once instead of the whole episode's.  :func:`evaluate` runs the
 same act/step loop with no graph, and re-encodes the best-so-far assignment
 only for rows whose incumbent changed; both batch same-size instances via
-``_batches``.
+``_batches``.  :func:`train` writes no files: it returns one row per epoch and
+hands each row to an ``on_epoch`` callback, which may log or checkpoint.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -39,12 +38,11 @@ from . import nn
 from ._kernels import objective as _objective, swap_delta as _swap_delta
 from .core import make_rng
 from .errors import NumericalAbortError, ValidationError
-from .policy import InstanceBatch, SawtPolicy, save_policy
+from .policy import InstanceBatch, SawtPolicy
 
 __all__ = [
     "SearchState",
     "TrainConfig",
-    "TrainResult",
     "EvalResult",
     "reset_state",
     "step_state",
@@ -372,35 +370,24 @@ def evaluate(policy: SawtPolicy, instances, steps: int = 100, seed: int = 0) -> 
     return EvalResult(best_costs, best_sigmas, float(best_costs.mean()), batches)
 
 
-@dataclass
-class TrainResult:
-    """Epoch-level history plus the trained policy's optimizer."""
-
-    history: list = field(default_factory=list)
-    optimizer: nn.Adam | None = None
-
-
 def train(
     policy: SawtPolicy,
     instances,
     config: TrainConfig | None = None,
     eval_instances=None,
-    metrics_path=None,
-    checkpoint_path=None,
-    log=None,
     start_epoch: int = 0,
     optimizer: nn.Adam | None = None,
-) -> TrainResult:
-    """Train ``policy`` on ``instances`` with batched n-step REINFORCE.
+    on_epoch=None,
+) -> list[dict]:
+    """Train ``policy`` on ``instances`` with batched n-step REINFORCE; return the epoch rows.
 
     Instances are bucketed by size (a batch never mixes sizes), shuffled each
     epoch, and embedded afresh per batch so the facility one-hot draw is
-    resampled.  One optimizer step is taken per batch.  If given,
-    ``metrics_path`` receives one JSON line per epoch and ``checkpoint_path``
-    is (re)written after every epoch.  ``log`` is an optional callable fed
-    the same epoch dicts.  ``start_epoch``/``optimizer`` continue a resumed
-    run: epoch numbering and entropy decay pick up where the checkpoint left
-    off.
+    resampled.  One optimizer step is taken per batch.  Each epoch's row (mean
+    update metrics, plus ``eval_cost_mean`` on eval epochs) is passed to
+    ``on_epoch`` as soon as it is complete.  ``start_epoch``/``optimizer``
+    continue a resumed run: epoch numbering and entropy decay pick up where
+    the checkpoint left off.
     """
     config = config or TrainConfig()
     instances = list(instances)
@@ -410,52 +397,32 @@ def train(
         raise ValidationError(f"start_epoch must be >= 0, got {start_epoch}")
     rng = make_rng(config.seed + start_epoch)
     optimizer = optimizer or nn.Adam(policy.params, lr=config.lr)
-    result = TrainResult(optimizer=optimizer)
-    metrics_file = open(metrics_path, "w") if metrics_path else None
-    best_eval = np.inf
-    try:
-        for epoch in range(start_epoch, start_epoch + config.epochs):
-            tic = time.perf_counter()
-            epoch_metrics: list[dict] = []
-            best_costs: list[float] = []
-            for idxs in _batches(instances, config.batch_size, rng):
-                batch = policy.embed_instances([instances[i] for i in idxs], rng)
-                metrics, final = reinforce_update(policy, optimizer, batch, config, rng, epoch)
-                epoch_metrics.append(metrics)
-                best_costs.extend(final.best_cost.tolist())
-            row = {
-                "epoch": epoch,
-                "updates": len(epoch_metrics),
-                "best_cost_mean": float(np.mean(best_costs)),
-                "wall_ms": int((time.perf_counter() - tic) * 1000),
-            }
-            for key in ("loss", "policy_loss", "value_loss", "entropy",
-                        "entropy_coef", "mean_return", "grad_norm"):
-                row[key] = float(np.mean([m[key] for m in epoch_metrics]))
-            improved_eval = False
-            if eval_instances and config.eval_every and (epoch + 1) % config.eval_every == 0:
-                ev = evaluate(
-                    policy, eval_instances, steps=config.eval_steps,
-                    seed=config.seed + 1_000_003 + epoch,
-                )
-                row["eval_cost_mean"] = ev.mean_cost
-                if ev.mean_cost < best_eval:
-                    best_eval = ev.mean_cost
-                    improved_eval = True
-            result.history.append(row)
-            if metrics_file:
-                metrics_file.write(json.dumps(row, sort_keys=True) + "\n")
-                metrics_file.flush()
-            if checkpoint_path:
-                meta = {"epoch": epoch, "train_config": config.to_dict()}
-                save_policy(checkpoint_path, policy, optimizer, meta=meta)
-                if improved_eval:
-                    p = Path(checkpoint_path)
-                    save_policy(p.with_name(p.stem + "_best" + p.suffix),
-                                policy, optimizer, meta=meta)
-            if log:
-                log(row)
-    finally:
-        if metrics_file:
-            metrics_file.close()
-    return result
+    rows: list[dict] = []
+    for epoch in range(start_epoch, start_epoch + config.epochs):
+        tic = time.perf_counter()
+        epoch_metrics: list[dict] = []
+        best_costs: list[float] = []
+        for idxs in _batches(instances, config.batch_size, rng):
+            batch = policy.embed_instances([instances[i] for i in idxs], rng)
+            metrics, final = reinforce_update(policy, optimizer, batch, config, rng, epoch)
+            epoch_metrics.append(metrics)
+            best_costs.extend(final.best_cost.tolist())
+        row = {
+            "epoch": epoch,
+            "updates": len(epoch_metrics),
+            "best_cost_mean": float(np.mean(best_costs)),
+            "wall_ms": int((time.perf_counter() - tic) * 1000),
+        }
+        for key in ("loss", "policy_loss", "value_loss", "entropy",
+                    "entropy_coef", "mean_return", "grad_norm"):
+            row[key] = float(np.mean([m[key] for m in epoch_metrics]))
+        if eval_instances and config.eval_every and (epoch + 1) % config.eval_every == 0:
+            ev = evaluate(
+                policy, eval_instances, steps=config.eval_steps,
+                seed=config.seed + 1_000_003 + epoch,
+            )
+            row["eval_cost_mean"] = ev.mean_cost
+        rows.append(row)
+        if on_epoch:
+            on_epoch(row)
+    return rows

@@ -333,8 +333,9 @@ def test_train_outputs(trained):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["train"]["epochs"] == 2
     assert manifest["config"]["model"]["d_emb"] == 16
-    policy, _, meta = load_policy(out / "policy.ckpt")
-    assert meta["epoch"] == 1
+    policy, opt, meta = load_policy(out / "policy.ckpt", optimizer_factory=lambda p: Adam(p))
+    assert meta == {"epoch": 1, "train_config": manifest["config"]["train"]}
+    assert opt.step_count == sum(m["updates"] for m in metrics) == 4
     # Best-eval checkpoint exists because eval ran and improved at least once.
     assert (out / "policy_best.ckpt").is_file()
 
@@ -373,6 +374,9 @@ def test_train_resume_continues_numbering(trained, tmp_path):
                  "--out", str(out2)]) == 0
     metrics = read_jsonl(out2 / "metrics.jsonl")
     assert [m["epoch"] for m in metrics] == [2]
+    _, opt, meta = load_policy(out2 / "policy.ckpt", optimizer_factory=lambda p: Adam(p))
+    assert meta["epoch"] == 2
+    assert opt.step_count == 4 + metrics[0]["updates"]
 
 
 def test_train_resume_manifest_records_the_trained_model(trained, tmp_path):
@@ -407,6 +411,50 @@ def test_train_rejects_negative_eval_every(tmp_path, capsys):
                  "--eval-every", "-1", "--out", str(out)]) == 3
     assert "eval_every" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,data,key", [
+    (["--eval-count", "-1"], {}, "eval_count"),
+    ([], {"eval_count": "2"}, "eval_count"),
+    ([], {"cont": 5}, "cont"),
+])
+def test_train_rejects_bad_data_section(tmp_path, capsys, flags, data, key):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"data": data}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--n", "5", "--count", "2",
+                 "--epochs", "1", "--eval-every", "1", *flags, "--out", str(out)]) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eval-count", "2", "--eval-every", "1"],
+    ["--eval-count", "2", "--eval-every", "3"],  # no eval epoch within the run
+    ["--eval-count", "0", "--eval-every", "1"],
+])
+def test_train_best_checkpoint_exactly_when_eval_improved(tmp_path, flags):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(SMALL_MODEL))
+    out = tmp_path / "run"
+    out.mkdir()
+    # A run directory without a manifest may hold files of an aborted run.
+    (out / "policy_best.ckpt").write_bytes(b"stale")
+    assert main(["train", "--config", str(cfg_path), "--n", "5", "--count", "4",
+                 "--epochs", "2", "--batch-size", "4", "--episode-length", "4",
+                 "--eval-steps", "4", *flags, "--out", str(out)]) == 0
+    metrics = read_jsonl(out / "metrics.jsonl")
+    evals = [m for m in metrics if "eval_cost_mean" in m]
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    if not evals:
+        assert outputs["deterministic"] == ["policy.ckpt"]
+        return
+    assert outputs["deterministic"] == ["policy.ckpt", "policy_best.ckpt"]
+    best = min(evals, key=lambda m: m["eval_cost_mean"])  # the first of equal bests
+    _, _, meta = load_policy(out / "policy_best.ckpt")
+    assert meta["epoch"] == best["epoch"]
+    if best["epoch"] == metrics[-1]["epoch"]:
+        assert (out / "policy_best.ckpt").read_bytes() == (out / "policy.ckpt").read_bytes()
 
 
 def test_train_data_manifest_records_the_eval_set(gen_dir, tmp_path):
@@ -594,6 +642,31 @@ def test_rerun_generate(tmp_path):
 def test_rerun_missing_manifest(tmp_path):
     assert main(["rerun", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("command,content", [
+    ("solve --reference", "{not json"),
+    ("solve --reference", "[1, 2]"),
+    ("solve --reference", '{"rand6-s11": "cheap"}'),
+    ("train --config", "{not json"),
+    ("train --config", '{"model": [1, 2]}'),
+    ("describe --config", '["model"]'),
+    ("rerun", "{not json"),
+    ("rerun", '{"argv": "solve"}'),
+])
+def test_malformed_json_inputs_exit_3(gen_dir, tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    out = str(tmp_path / "run")
+    argv = {
+        "solve --reference": ["solve", "--instances", str(gen_dir), "--solver", "greedy",
+                              "--steps", "10", "--reference", str(path), "--out", out],
+        "train --config": ["train", "--config", str(path), "--out", out],
+        "describe --config": ["describe", "--config", str(path)],
+        "rerun": ["rerun", str(path), "--out", out],
+    }[command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

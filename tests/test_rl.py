@@ -1,7 +1,6 @@
 """Improvement-search environment and REINFORCE trainer."""
 
 import dataclasses
-import json
 import tracemalloc
 import weakref
 
@@ -14,7 +13,7 @@ from sawt_qap import generate_instance, nn, objective, rl
 from sawt_qap.core import make_rng
 from sawt_qap.errors import NumericalAbortError, ValidationError
 from sawt_qap.nn import Adam
-from sawt_qap.policy import SawtConfig, SawtPolicy, load_policy
+from sawt_qap.policy import SawtConfig, SawtPolicy
 from sawt_qap.rl import (
     TrainConfig,
     compute_returns,
@@ -425,36 +424,27 @@ def test_evaluate_reencodes_only_changed_incumbents(monkeypatch):
     assert len(encoded_rows) == 2 * (steps + 1) + sum(k > 0 for k in improved)
 
 
-def test_train_smoke_and_metrics_file(tmp_path):
+def test_train_returns_epoch_rows():
     policy = SawtPolicy(TINY, seed=5)
     instances = [generate_instance(5, seed=400 + k) for k in range(8)]
     held_out = [generate_instance(5, seed=500 + k) for k in range(4)]
-    metrics_path = tmp_path / "metrics.jsonl"
-    ckpt_path = tmp_path / "policy.ckpt"
     config = TrainConfig(
         epochs=2, batch_size=4, episode_length=6, seed=9,
         eval_every=2, eval_steps=8,
     )
-    result = train(
-        policy, instances, config, eval_instances=held_out,
-        metrics_path=metrics_path, checkpoint_path=ckpt_path,
+    optimizer = Adam(policy.params, lr=config.lr)
+    seen = []
+    rows = train(
+        policy, instances, config, eval_instances=held_out, optimizer=optimizer,
+        on_epoch=lambda row: seen.append((dict(row), optimizer.step_count)),
     )
-    assert len(result.history) == 2
-    assert result.history[0]["updates"] == 2
-    assert "eval_cost_mean" in result.history[1]
-    assert "eval_cost_mean" not in result.history[0]
-
-    lines = [json.loads(l) for l in metrics_path.read_text().splitlines()]
-    assert len(lines) == 2
-    assert lines[0]["epoch"] == 0 and "wall_ms" in lines[0]
-
-    restored, opt, meta = load_policy(ckpt_path, optimizer_factory=lambda p: Adam(p))
-    assert meta["epoch"] == 1
-    assert opt.step_count == result.optimizer.step_count
-    for k in policy.params:
-        np.testing.assert_array_equal(
-            restored.params[k].data, policy.params[k].data.astype(np.float32)
-        )
+    assert len(rows) == 2
+    assert rows[0]["epoch"] == 0 and "wall_ms" in rows[0]
+    assert rows[0]["updates"] == 2
+    assert "eval_cost_mean" in rows[1]
+    assert "eval_cost_mean" not in rows[0]
+    # Each row reaches on_epoch once its epoch's updates are all taken.
+    assert seen == [(rows[0], 2), (rows[1], 4)]
 
 
 def test_train_deterministic_given_seed(tmp_path):
@@ -463,10 +453,8 @@ def test_train_deterministic_given_seed(tmp_path):
     for _ in range(2):
         policy = SawtPolicy(TINY, seed=8)
         config = TrainConfig(epochs=2, batch_size=3, episode_length=5, seed=11)
-        result = train(policy, instances, config)
-        histories.append(
-            [{k: v for k, v in row.items() if k != "wall_ms"} for row in result.history]
-        )
+        rows = train(policy, instances, config)
+        histories.append([{k: v for k, v in row.items() if k != "wall_ms"} for row in rows])
     assert histories[0] == histories[1]
 
 
@@ -479,29 +467,27 @@ def test_evaluate_zero_steps_reports_start(policy):
         evaluate(policy, instances, steps=-1)
 
 
-def test_train_resume_continues_epoch_numbering(tmp_path):
+def test_train_resume_continues_epoch_numbering():
     instances = [generate_instance(4, seed=650 + k) for k in range(4)]
     policy = SawtPolicy(TINY, seed=19)
     config = TrainConfig(epochs=2, batch_size=4, episode_length=4, seed=21)
-    ckpt = tmp_path / "p.ckpt"
-    train(policy, instances, config, checkpoint_path=ckpt)
+    optimizer = Adam(policy.params, lr=config.lr)
+    rows = train(policy, instances, config, optimizer=optimizer)
+    assert [row["epoch"] for row in rows] == [0, 1]
 
-    restored, opt, meta = load_policy(ckpt, optimizer_factory=lambda p: Adam(p, lr=config.lr))
-    assert meta["epoch"] == 1
-    result = train(
-        restored, instances, TrainConfig(epochs=2, batch_size=4, episode_length=4, seed=21),
-        checkpoint_path=ckpt, start_epoch=meta["epoch"] + 1, optimizer=opt,
-    )
-    assert [row["epoch"] for row in result.history] == [2, 3]
-    _, _, meta2 = load_policy(ckpt)
-    assert meta2["epoch"] == 3
+    resumed = train(policy, instances, config, start_epoch=rows[-1]["epoch"] + 1,
+                    optimizer=optimizer)
+    assert [row["epoch"] for row in resumed] == [2, 3]
+    assert optimizer.step_count == 4
+    # Entropy decay picks up at the resumed epoch.
+    assert resumed[0]["entropy_coef"] == pytest.approx(
+        config.entropy_beta * config.entropy_decay**2, rel=1e-12)
 
 
 def test_train_zero_epochs_is_noop():
     policy = SawtPolicy(TINY, seed=2)
     before = {k: t.data.copy() for k, t in policy.params.items()}
-    result = train(policy, [generate_instance(4, seed=1)], TrainConfig(epochs=0))
-    assert result.history == []
+    assert train(policy, [generate_instance(4, seed=1)], TrainConfig(epochs=0)) == []
     for k, t in policy.params.items():
         np.testing.assert_array_equal(t.data, before[k])
 
@@ -511,9 +497,9 @@ def test_train_buckets_mixed_sizes():
     instances = [generate_instance(4, seed=700 + k) for k in range(3)]
     instances += [generate_instance(6, seed=800 + k) for k in range(3)]
     config = TrainConfig(epochs=1, batch_size=4, episode_length=4, seed=1)
-    result = train(policy, instances, config)
+    rows = train(policy, instances, config)
     # 3 of size 4 and 3 of size 6 cannot share a batch: at least 2 updates.
-    assert result.history[0]["updates"] >= 2
+    assert rows[0]["updates"] >= 2
 
 
 def test_train_batches_shuffle_each_bucket_up_front(monkeypatch):
@@ -532,8 +518,8 @@ def test_train_batches_shuffle_each_bucket_up_front(monkeypatch):
 
     monkeypatch.setattr(policy, "embed_instances", recording_embed)
     config = TrainConfig(epochs=1, batch_size=2, episode_length=2, seed=13)
-    result = train(policy, instances, config)
-    assert result.history[0]["updates"] == 5
+    rows = train(policy, instances, config)
+    assert rows[0]["updates"] == 5
     rng = make_rng(config.seed)
     n4 = rng.permutation([3, 4, 5, 6, 7]).tolist()
     n6 = rng.permutation([0, 1, 2]).tolist()
