@@ -295,26 +295,31 @@ def _run_solver(name: str, instances: list[QapInstance], steps: int, *, threads:
     return parts
 
 
+_REFERENCE_MODES = ("auto", "brute", "tabu", "none")
+
+
+def _read_reference_table(path: str) -> dict[str, float]:
+    """The ``--reference FILE`` table: a JSON mapping of instance name to cost."""
+    table = _read_json_object(path)
+    try:
+        return {name: float(cost) for name, cost in table.items()}
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: reference costs must be numbers") from None
+
+
 def _reference_costs(instances: list[QapInstance], mode: str, threads: int,
                      solver: str, steps: int, parts: list[dict]) -> list[float | None]:
-    """Reference cost per instance, ``None`` where there is none.
+    """Reference cost per instance for a named ``mode``, ``None`` where there is none.
 
     ``auto`` uses exact search up to n = BRUTE_FORCE_MAX_N and a 5000-step
-    tabu search beyond; ``brute``/``tabu`` force one method; a path loads a
-    JSON mapping of instance name to cost; ``none`` disables gaps.  The tabu
-    reference is the deterministic run from the identity assignment (tabu
-    reads no seed), so when ``solver`` already made the reference run, the
-    same method and for tabu the same ``steps``, its ``parts`` give the costs.
+    tabu search beyond; ``brute``/``tabu`` force one method; ``none``
+    disables gaps.  The tabu reference is the deterministic run from the
+    identity assignment (tabu reads no seed), so when ``solver`` already made
+    the reference run, the same method and for tabu the same ``steps``, its
+    ``parts`` give the costs.
     """
     if mode == "none":
         return [None] * len(instances)
-    if mode not in ("auto", "brute", "tabu"):
-        table = _read_json_object(mode)
-        try:
-            table = {name: float(cost) for name, cost in table.items()}
-        except (TypeError, ValueError):
-            raise ValidationError(f"{mode}: reference costs must be numbers") from None
-        return [table.get(inst.name) for inst in instances]
     methods = [("brute" if inst.n <= BRUTE_FORCE_MAX_N else "tabu") if mode == "auto" else mode
                for inst in instances]
     refs = [None] * len(instances)
@@ -391,14 +396,20 @@ def cmd_solve(args) -> int:
         )
     paths = _collect_instance_paths(args.instances)
     instances = [_load_instance_file(p) for p in paths]
+    table = None
+    if args.reference not in _REFERENCE_MODES:
+        table = _read_reference_table(args.reference)
     run_dir = _prepare_run_dir(args.out)
     parts = _run_solver(
         args.solver, instances, args.steps, threads=args.threads, seed=args.seed,
         checkpoint=args.checkpoint, record_trajectory=args.record_trajectory,
         fp64_check=args.fp64_check,
     )
-    refs = _reference_costs(instances, args.reference, args.threads,
-                            args.solver, args.steps, parts)
+    if table is None:
+        refs = _reference_costs(instances, args.reference, args.threads,
+                                args.solver, args.steps, parts)
+    else:
+        refs = [table.get(inst.name) for inst in instances]
     rows = _write_results(run_dir, args.solver, args.steps, args.seed,
                           [inst.name for inst in instances], parts, refs,
                           missing_flag="", zero_flag="zero_reference")

@@ -11,7 +11,9 @@ Hot paths (objective, swap deltas) run on the vectorized numpy kernels in
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +58,23 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
     are part of the reproducibility contract.
     """
     return np.random.Generator(np.random.PCG64(seed))
+
+
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
+
+
+def check_field_types(config) -> None:
+    """Raise :class:`ValidationError` naming a dataclass field of the wrong type.
+
+    ``int`` fields take integers and ``float`` fields integers or floats;
+    neither takes a bool.  Config dataclasses call this before range checks.
+    """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not isinstance(value, _FIELD_TYPES[f.type]) or (
+            isinstance(value, bool) and f.type != "bool"
+        ):
+            raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 def _as_square_f64(arr, label: str) -> np.ndarray:

@@ -19,8 +19,9 @@ t + w - 1 is known (w = ``return_window``).  :func:`reinforce_update`
 therefore streams: it rolls out and back-propagates in one loop, freeing each
 step's graph as soon as its return is complete, so at most w + 1 step graphs
 are alive at once instead of the whole episode's.  :func:`evaluate` runs the
-same act/step loop with no graph, and re-encodes the best-so-far assignment
-only for rows whose incumbent changed; both batch same-size instances via
+same act/step loop with no graph and one encoder pass per step: a new
+incumbent is the assignment the next step encodes as current, so its
+encoding is copied from that pass.  Both batch same-size instances via
 ``_batches``.  :func:`train` writes no files: it returns one row per epoch and
 hands each row to an ``on_epoch`` callback, which may log or checkpoint.
 """
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import nn
 from ._kernels import objective as _objective, swap_delta as _swap_delta
-from .core import make_rng
+from .core import check_field_types, make_rng
 from .errors import NumericalAbortError, ValidationError
 from .policy import InstanceBatch, SawtPolicy
 
@@ -165,6 +166,7 @@ class TrainConfig:
     eval_steps: int = 100
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
         if self.eval_every < 0:
@@ -260,7 +262,8 @@ def reinforce_update(
     try:
         for t in range(T):
             h_best = policy.encode(leaf_batch, state.best_sigma)
-            out = policy.act(leaf_batch, state.sigma, h_best, rng=rng)
+            h = policy.encode(leaf_batch, state.sigma)
+            out = policy.act(h, h_best, rng=rng)
             state, rewards = step_state(leaf_batch, state, out.swaps)
             sums["reward"] += float(rewards.sum())
             pending.append([t, out, np.zeros(B)])
@@ -335,11 +338,13 @@ def evaluate(policy: SawtPolicy, instances, steps: int = 100, seed: int = 0) -> 
     """Sampled search from the identity on each instance; no gradients recorded.
 
     Same-size instances run in batches of up to ``EVAL_BATCH_SIZE``.  A
-    ``steps=0`` budget reports the starting assignments unchanged.  The
-    best-so-far encoding is computed once per batch and cached; after each
-    step only the rows with a positive reward, exactly those whose incumbent
-    changed, are re-encoded (on a :meth:`InstanceBatch.rows` sub-batch) and
-    written into the cache in place.
+    ``steps=0`` budget reports the starting assignments unchanged and runs
+    no encoder pass.  Each step encodes the current assignment once.  The
+    best-so-far encoding starts as a copy of step 0's pass (the search starts
+    at its incumbent); a row with a positive reward, exactly a row whose
+    incumbent changed, has the new incumbent as its next current assignment,
+    so that row is copied from the next step's pass.  Encoding is row-wise,
+    so this equals encoding the incumbent itself.
     """
     instances = list(instances)
     if not instances:
@@ -355,14 +360,16 @@ def evaluate(policy: SawtPolicy, instances, steps: int = 100, seed: int = 0) -> 
             tic = time.perf_counter()
             batch = policy.embed_instances([instances[i] for i in idxs], rng)
             state = reset_state(batch)
-            h_best = policy.encode(batch, state.best_sigma)
+            h_best = None
             for _ in range(steps):
-                out = policy.act(batch, state.sigma, h_best, rng=rng)
+                h = policy.encode(batch, state.sigma)
+                if h_best is None:  # step 0: the search starts at its incumbent
+                    h_best = nn.Tensor.const(h.data.copy())
+                else:
+                    h_best.data[changed] = h.data[changed]
+                out = policy.act(h, h_best, rng=rng)
                 state, rewards = step_state(batch, state, out.swaps)
-                changed = np.flatnonzero(rewards > 0)
-                if changed.size:
-                    fresh = policy.encode(batch.rows(changed), state.best_sigma[changed])
-                    h_best.data[changed] = fresh.data
+                changed = rewards > 0
             batches.append((idxs, time.perf_counter() - tic))
             for pos, idx in enumerate(idxs):
                 best_costs[idx] = state.best_cost[pos]

@@ -20,6 +20,7 @@ from sawt_qap import nn
 from sawt_qap.core import QapInstance, make_rng
 from sawt_qap.errors import NumericalAbortError
 from sawt_qap.nn.tensor import Tensor, _make, _unbroadcast
+from sawt_qap.policy import InstanceBatch
 from sawt_qap.rl import (
     EVAL_BATCH_SIZE, EvalResult, _batches, compute_returns, reset_state, step_state,
 )
@@ -374,7 +375,8 @@ def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
     state = reset_state(batch, init=config.init, rng=rng)
     outs, rewards = [], []
     for _ in range(config.episode_length):
-        out = policy.act(batch, state.sigma, policy.encode(batch, state.best_sigma), rng=rng)
+        h_best = policy.encode(batch, state.best_sigma)
+        out = policy.act(policy.encode(batch, state.sigma), h_best, rng=rng)
         state, r = step_state(batch, state, out.swaps)
         outs.append(out)
         rewards.append(r)
@@ -422,8 +424,8 @@ def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
 
 # ---------------------------------------------------------------------------
 # Uncached reference for ``sawt_qap.rl.evaluate``: same signature and search,
-# but the best-so-far assignment is re-encoded in full on every step instead
-# of being cached and refreshed only for rows whose incumbent changed.
+# but the best-so-far assignment is encoded in full on every step instead of
+# being copied from the pass that encoded it as the current assignment.
 # ---------------------------------------------------------------------------
 
 
@@ -437,12 +439,25 @@ def uncached_evaluate(policy, instances, steps=100, seed=0):
             batch = policy.embed_instances([instances[i] for i in idxs], rng)
             state = reset_state(batch)
             for _ in range(steps):
-                out = policy.act(batch, state.sigma, policy.encode(batch, state.best_sigma), rng=rng)
+                h_best = policy.encode(batch, state.best_sigma)
+                out = policy.act(policy.encode(batch, state.sigma), h_best, rng=rng)
                 state, _ = step_state(batch, state, out.swaps)
             for pos, idx in enumerate(idxs):
                 best_costs[idx] = state.best_cost[pos]
                 best_sigmas[idx] = state.best_sigma[pos].copy()
     return EvalResult(best_costs, best_sigmas, float(best_costs.mean()))
+
+
+def sub_batch(batch, idx):
+    """Rows ``idx`` of an ``InstanceBatch``, with detached embedding copies."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return InstanceBatch(
+        [batch.instances[i] for i in idx],
+        batch.flow[idx],
+        batch.dist[idx],
+        Tensor.const(batch.fac_emb.data[idx]),
+        Tensor.const(batch.loc_emb.data[idx]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def test_04_autodiff():
 
     def loss_tensor():
         batch = policy.embed_instances(instances, np.random.default_rng(5))
-        out = policy.act(batch, sigma, policy.encode(batch, best), forced=forced)
+        out = policy.act(policy.encode(batch, sigma), policy.encode(batch, best), forced=forced)
         return add(tensor_sum(out.log_prob), tensor_sum(out.value))
 
     def loss_no_graph():
@@ -347,7 +347,8 @@ def test_06_bandit_learnability():
             batch = policy.embed_instances([inst], rng)
             state = reset_state(batch, init="identity")
             for a1, a2 in ((i_star, j_star), (j_star, i_star)):
-                out = policy.act(batch, state.sigma, policy.encode(batch, state.best_sigma),
+                out = policy.act(policy.encode(batch, state.sigma),
+                                 policy.encode(batch, state.best_sigma),
                                  forced=(np.array([a1]), np.array([a2])))
                 total += float(out.p1.data[0, a1] * out.p2.data[0, a2])
         return total / draws

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -645,18 +646,23 @@ def test_rerun_missing_manifest(tmp_path):
 
 
 @pytest.mark.parametrize("command,content", [
+    ("solve --reference", None),  # no such file
     ("solve --reference", "{not json"),
     ("solve --reference", "[1, 2]"),
     ("solve --reference", '{"rand6-s11": "cheap"}'),
     ("train --config", "{not json"),
     ("train --config", '{"model": [1, 2]}'),
+    ("train --config", '{"train": {"epochs": 1.5}}'),
+    ("train --config", '{"train": {"epochs": "3"}}'),
+    ("train --config", '{"model": {"d_emb": 64.0}}'),
     ("describe --config", '["model"]'),
     ("rerun", "{not json"),
     ("rerun", '{"argv": "solve"}'),
 ])
 def test_malformed_json_inputs_exit_3(gen_dir, tmp_path, capsys, command, content):
     path = tmp_path / "input.json"
-    path.write_text(content)
+    if content is not None:
+        path.write_text(content)
     out = str(tmp_path / "run")
     argv = {
         "solve --reference": ["solve", "--instances", str(gen_dir), "--solver", "greedy",
@@ -667,6 +673,7 @@ def test_malformed_json_inputs_exit_3(gen_dir, tmp_path, capsys, command, conten
     }[command]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error:")
+    assert not Path(out).exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import fd_gradient
+from helpers import fd_gradient, sub_batch
 from sawt_qap import QapInstance, generate_instance, objective
 from sawt_qap.errors import CheckpointError, ValidationError
 from sawt_qap.nn import Adam, Tensor, add, no_grad, tensor_sum
@@ -139,7 +139,7 @@ def test_act_shapes_and_action_validity(rng):
     policy = SawtPolicy(SMALL, seed=0)
     batch, _ = make_batch(policy, rng, b=4, n=6)
     sigma = np.tile(np.arange(6), (4, 1))
-    out = policy.act(batch, sigma, policy.encode(batch, sigma), rng=rng)
+    out = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), rng=rng)
     assert out.a1.shape == (4,) and out.a2.shape == (4,)
     assert np.all(out.a1 != out.a2)
     assert out.log_prob.shape == (4,) and out.value.shape == (4,)
@@ -154,7 +154,7 @@ def test_log_prob_matches_head_probabilities(rng):
     policy = SawtPolicy(SMALL, seed=1)
     batch, _ = make_batch(policy, rng, b=3, n=5)
     sigma = np.tile(np.arange(5), (3, 1))
-    out = policy.act(batch, sigma, policy.encode(batch, sigma), rng=rng)
+    out = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), rng=rng)
     expected = np.log(out.p1[np.arange(3), out.a1]) + np.log(
         out.p2[np.arange(3), out.a2]
     )
@@ -166,7 +166,7 @@ def test_entropy_bounds(rng):
     n = 6
     batch, _ = make_batch(policy, rng, b=3, n=n)
     sigma = np.tile(np.arange(n), (3, 1))
-    out = policy.act(batch, sigma, policy.encode(batch, sigma), rng=rng)
+    out = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), rng=rng)
     upper = np.log(n) + np.log(n - 1)  # uniform over both heads
     assert np.all(out.entropy.data >= -1e-12)
     assert np.all(out.entropy.data <= upper + 1e-9)
@@ -176,13 +176,13 @@ def test_greedy_deterministic_sampling_spread(rng):
     policy = SawtPolicy(SMALL, seed=3)
     batch, _ = make_batch(policy, rng, b=2, n=6)
     sigma = np.tile(np.arange(6), (2, 1))
-    g1 = policy.act(batch, sigma, policy.encode(batch, sigma), greedy=True)
-    g2 = policy.act(batch, sigma, policy.encode(batch, sigma), greedy=True)
+    g1 = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), greedy=True)
+    g2 = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), greedy=True)
     np.testing.assert_array_equal(g1.a1, g2.a1)
     np.testing.assert_array_equal(g1.a2, g2.a2)
     assert g1.a1[0] == g1.p1[0].argmax()
     with pytest.raises(ValidationError, match="rng"):
-        policy.act(batch, sigma, policy.encode(batch, sigma))
+        policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma))
 
 
 def test_sampling_matches_head_distribution():
@@ -194,9 +194,10 @@ def test_sampling_matches_head_distribution():
     trials = 4000
     sample_rng = np.random.default_rng(9)
     with no_grad():
-        ref = policy.act(batch, sigma, policy.encode(batch, sigma), greedy=True)
+        ref = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), greedy=True)
         for _ in range(trials):
-            out = policy.act(batch, sigma, policy.encode(batch, sigma), rng=sample_rng)
+            h = policy.encode(batch, sigma)
+            out = policy.act(h, policy.encode(batch, sigma), rng=sample_rng)
             counts[out.a1[0]] += 1
     freq = counts / trials
     np.testing.assert_allclose(freq, ref.p1[0], atol=0.03)
@@ -208,7 +209,7 @@ def test_forced_actions(rng):
     sigma = np.tile(np.arange(5), (2, 1))
     a1 = np.array([3, 1])
     a2 = np.array([0, 4])
-    out = policy.act(batch, sigma, policy.encode(batch, sigma), forced=(a1, a2))
+    out = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), forced=(a1, a2))
     np.testing.assert_array_equal(out.a1, a1)
     np.testing.assert_array_equal(out.a2, a2)
 
@@ -219,8 +220,8 @@ def test_second_pass_changes_heads(rng):
     batch, _ = make_batch(policy, rng, b=1, n=6)
     sigma = np.arange(6)[None, :]
     other = np.array([[1, 0, 2, 3, 4, 5]])
-    out_same = policy.act(batch, sigma, policy.encode(batch, sigma), greedy=True)
-    out_diff = policy.act(batch, sigma, policy.encode(batch, other), greedy=True)
+    out_same = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), greedy=True)
+    out_diff = policy.act(policy.encode(batch, sigma), policy.encode(batch, other), greedy=True)
     # At random init the shift is small but must be strictly nonzero: the
     # heads depend on the best-so-far encoding.
     assert np.max(np.abs(out_same.p1 - out_diff.p1)) > 0.0
@@ -234,15 +235,15 @@ def test_act_validates_best_encoding_shape(rng):
     h_best = policy.encode(batch, sigma)
     for bad in (h_best.data[:1], h_best.data[:, :4], h_best.data[..., :8], h_best.data[0]):
         with pytest.raises(ValidationError, match="h_best"):
-            policy.act(batch, sigma, Tensor.const(bad), greedy=True)
+            policy.act(policy.encode(batch, sigma), Tensor.const(bad), greedy=True)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("n", [6, 20, 50])
 def test_subset_encoding_is_bit_identical(n, dtype):
-    # Search caches the best-so-far encoding and re-encodes only the rows
-    # whose incumbent changed; that is exact only if a row's encoding does
-    # not depend on which other rows share its batch.
+    # Search copies a new incumbent's encoding row from the pass that encoded
+    # it as the current assignment; that is exact only if a row's encoding
+    # does not depend on which other rows share its batch.
     policy = SawtPolicy(SawtConfig(dtype=dtype), seed=12)
     rng = np.random.default_rng(n)
     with no_grad():
@@ -250,7 +251,7 @@ def test_subset_encoding_is_bit_identical(n, dtype):
         sigma = np.stack([rng.permutation(n) for _ in range(7)])
         idx = np.array([0, 2, 3, 6])
         full = policy.encode(batch, sigma).data
-        sub = policy.encode(batch.rows(idx), sigma[idx]).data
+        sub = policy.encode(sub_batch(batch, idx), sigma[idx]).data
     assert sub.dtype == full.dtype == np.dtype(dtype)
     assert np.array_equal(sub, full[idx])
 
@@ -282,8 +283,10 @@ def test_location_relabeling_invariance(rng):
     h2 = policy.encode(b2, sigma2[None, :])
     np.testing.assert_allclose(h1.data, h2.data, rtol=1e-9, atol=1e-11)
 
-    out1 = policy.act(b1, sigma[None, :], policy.encode(b1, sigma[None, :]), greedy=True)
-    out2 = policy.act(b2, sigma2[None, :], policy.encode(b2, sigma2[None, :]), greedy=True)
+    out1 = policy.act(policy.encode(b1, sigma[None, :]), policy.encode(b1, sigma[None, :]),
+                      greedy=True)
+    out2 = policy.act(policy.encode(b2, sigma2[None, :]), policy.encode(b2, sigma2[None, :]),
+                      greedy=True)
     np.testing.assert_allclose(out1.p1, out2.p1, rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(out1.value.data, out2.value.data, rtol=1e-9)
 
@@ -322,8 +325,10 @@ def test_facility_relabeling_equivariance(rng):
     h2 = policy.encode(b2, sigma2[None, :])
     np.testing.assert_allclose(h2.data[0], h1.data[0][tau], rtol=1e-9, atol=1e-11)
 
-    out1 = policy.act(b1, sigma[None, :], policy.encode(b1, sigma[None, :]), greedy=True)
-    out2 = policy.act(b2, sigma2[None, :], policy.encode(b2, sigma2[None, :]), greedy=True)
+    out1 = policy.act(policy.encode(b1, sigma[None, :]), policy.encode(b1, sigma[None, :]),
+                      greedy=True)
+    out2 = policy.act(policy.encode(b2, sigma2[None, :]), policy.encode(b2, sigma2[None, :]),
+                      greedy=True)
     np.testing.assert_allclose(out2.p1[0], out1.p1[0][tau], rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(out2.value.data, out1.value.data, rtol=1e-9)
 
@@ -337,7 +342,7 @@ def test_policy_gradient_flows_everywhere(rng):
     policy = SawtPolicy(SMALL, seed=9)
     batch, _ = make_batch(policy, rng, b=2, n=5)
     sigma = np.tile(np.arange(5), (2, 1))
-    out = policy.act(batch, sigma, policy.encode(batch, sigma), rng=rng)
+    out = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), rng=rng)
     loss = add(add(tensor_sum(out.log_prob), tensor_sum(out.value)), tensor_sum(out.entropy))
     loss.backward()
     missing = [k for k, t in policy.params.items() if t.grad is None]
@@ -353,7 +358,7 @@ def test_policy_gradient_matches_finite_differences(rng):
 
     def scalar():
         batch = policy.embed_instances([inst], np.random.default_rng(5))
-        out = policy.act(batch, sigma, policy.encode(batch, sigma), forced=forced)
+        out = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), forced=forced)
         return add(add(tensor_sum(out.log_prob), tensor_sum(out.value)), tensor_sum(out.entropy))
 
     checked = [
@@ -379,7 +384,7 @@ def test_no_grad_act_builds_no_graph(rng):
     with no_grad():
         batch, _ = make_batch(policy, batch_rng, b=1, n=5)
         sigma = np.arange(5)[None, :]
-        out = policy.act(batch, sigma, policy.encode(batch, sigma), rng=batch_rng)
+        out = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), rng=batch_rng)
     assert out.log_prob._parents == ()
     assert out.value._parents == ()
 
@@ -394,7 +399,8 @@ def test_act_graph_node_count():
     batch.fac_emb = Tensor(batch.fac_emb.data, requires_grad=True)
     batch.loc_emb = Tensor(batch.loc_emb.data, requires_grad=True)
     sigma = np.tile(np.arange(6), (8, 1))
-    out = policy.act(batch, sigma, policy.encode(batch, rng.permuted(sigma, axis=1)), rng=rng)
+    out = policy.act(policy.encode(batch, sigma),
+                     policy.encode(batch, rng.permuted(sigma, axis=1)), rng=rng)
     seen, ops, stack = set(), 0, [out.log_prob, out.entropy, out.value]
     while stack:
         node = stack.pop()
@@ -418,7 +424,7 @@ def test_policy_checkpoint_roundtrip(tmp_path, rng):
     # Take one real step so moments are nonzero.
     batch, _ = make_batch(policy, rng, b=2, n=5)
     sigma = np.tile(np.arange(5), (2, 1))
-    out = policy.act(batch, sigma, policy.encode(batch, sigma), rng=rng)
+    out = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), rng=rng)
     tensor_sum(out.log_prob).backward()
     opt.step()
 
@@ -482,8 +488,8 @@ def test_restored_policy_same_actions(tmp_path, rng):
     b1 = policy.embed_instances([inst], np.random.default_rng(1))
     b2 = restored.embed_instances([inst], np.random.default_rng(1))
     sigma = np.arange(6)[None, :]
-    o1 = policy.act(b1, sigma, policy.encode(b1, sigma), greedy=True)
-    o2 = restored.act(b2, sigma, restored.encode(b2, sigma), greedy=True)
+    o1 = policy.act(policy.encode(b1, sigma), policy.encode(b1, sigma), greedy=True)
+    o2 = restored.act(restored.encode(b2, sigma), restored.encode(b2, sigma), greedy=True)
     np.testing.assert_array_equal(o1.a1, o2.a1)
     np.testing.assert_array_equal(o1.a2, o2.a2)
     np.testing.assert_allclose(o1.p1, o2.p1, rtol=1e-6)

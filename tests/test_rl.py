@@ -384,17 +384,17 @@ def test_evaluate_matches_uncached_reference(steps):
 
 def test_evaluate_reencodes_only_changed_incumbents(monkeypatch):
     # At random init the heads barely react to the best-so-far encoding, so
-    # equal search results alone would miss a stale cache: check the cache
-    # against a full encode of the incumbent before every act, and count the
-    # rows encoded.
+    # equal search results alone would miss a stale one: before every act,
+    # check both encodings against full encodes of the current and the
+    # incumbent assignment, and count the encoder passes.
     policy = SawtPolicy(MIXED, seed=3)
     instances = _mixed_eval_instances()
-    steps = 40
     latest, encoded_rows, improved = {}, [], []
     real_act, real_encode = policy.act, policy.encode
     real_reset, real_step = rl.reset_state, rl.step_state
 
     def tracking_reset(batch, *args, **kwargs):
+        latest["batch"] = batch
         latest["state"] = real_reset(batch, *args, **kwargs)
         return latest["state"]
 
@@ -407,21 +407,26 @@ def test_evaluate_reencodes_only_changed_incumbents(monkeypatch):
         encoded_rows.append(batch.size)
         return real_encode(batch, sigma)
 
-    def checking_act(batch, sigma, h_best, **kwargs):
-        fresh = real_encode(batch, latest["state"].best_sigma)
-        assert np.array_equal(h_best.data, fresh.data)
-        return real_act(batch, sigma, h_best, **kwargs)
+    def checking_act(h, h_best, **kwargs):
+        batch, state = latest["batch"], latest["state"]
+        assert np.array_equal(h.data, real_encode(batch, state.sigma).data)
+        assert np.array_equal(h_best.data, real_encode(batch, state.best_sigma).data)
+        return real_act(h, h_best, **kwargs)
 
     monkeypatch.setattr(policy, "act", checking_act)
     monkeypatch.setattr(policy, "encode", counting_encode)
     monkeypatch.setattr(rl, "reset_state", tracking_reset)
     monkeypatch.setattr(rl, "step_state", tracking_step)
-    evaluate(policy, instances, steps=steps, seed=11)
-    # Two size buckets; per batch one full best-so-far pass, then one full
-    # pass per act, plus the rows whose incumbent changed.
-    assert len(improved) == 2 * steps and sum(improved) > 0
-    assert sum(encoded_rows) - (steps + 1) * len(instances) == sum(improved)
-    assert len(encoded_rows) == 2 * (steps + 1) + sum(k > 0 for k in improved)
+    # Two size buckets (six n=6 rows, then three n=20 rows), one full encoder
+    # pass per act and no other: the incumbent never costs a pass of its own.
+    for steps in (0, 40):
+        encoded_rows.clear()
+        improved.clear()
+        evaluate(policy, instances, steps=steps, seed=11)
+        assert len(improved) == 2 * steps
+        assert encoded_rows == [6] * steps + [3] * steps
+        assert sum(encoded_rows) == steps * len(instances)
+    assert sum(improved) > 0
 
 
 def test_train_returns_epoch_rows():
