@@ -22,9 +22,6 @@ from .core import (
     objective,
     objective_gradient,
     objective_trace,
-    permutation_matrix,
-    random_assignment,
-    solution_aware_matrix,
     swap_delta,
 )
 from .errors import (
@@ -55,9 +52,6 @@ __all__ = [
     "objective",
     "objective_gradient",
     "objective_trace",
-    "permutation_matrix",
-    "random_assignment",
-    "solution_aware_matrix",
     "swap_delta",
     "CheckpointError",
     "NumericalAbortError",

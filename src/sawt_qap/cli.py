@@ -32,7 +32,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +39,7 @@ import numpy as np
 from . import __version__, qaplib
 from .core import (
     QapInstance,
+    check_type,
     gap as gap_of,
     generate_instance,
     instance_from_json,
@@ -235,16 +235,16 @@ _PER_INSTANCE = {
 }
 
 
-def _run_solver(name: str, instances: list[QapInstance], steps: int, *, threads: int = 1,
-                seed: int = 0, checkpoint: str | None = None,
-                record_trajectory: bool = False, fp64_check: bool = False) -> list[dict]:
+def _run_solver(name: str, instances: list[QapInstance], steps: int, *, seed: int = 0,
+                checkpoint: str | None = None, record_trajectory: bool = False,
+                fp64_check: bool = False) -> list[dict]:
     """Run solver ``name`` over ``instances``; one result part per instance, in order.
 
     A part holds ``best_cost``, ``sigma`` and ``wall_ms``, plus ``trajectory``
     (tabu with ``record_trajectory``) or ``batch_size`` (sawt).  ``sawt`` is one
     :func:`evaluate` call seeded with ``seed`` that searches same-size instances
     in batches, so each part reports the measured time and size of its batch.
-    The other solvers run one instance per task across ``threads`` workers.
+    The other solvers run one instance at a time, in order.
     ``fp64_check`` re-verifies every best cost with a float64 objective
     recomputation and raises :class:`NumericalAbortError` on a mismatch.
     """
@@ -264,8 +264,8 @@ def _run_solver(name: str, instances: list[QapInstance], steps: int, *, threads:
                 }
     else:
         solve_one = _PER_INSTANCE[name]
-
-        def work(inst):
+        parts = []
+        for inst in instances:
             t0 = time.perf_counter()
             sol, trajectory = solve_one(inst, steps, record_trajectory)
             part = {
@@ -275,10 +275,7 @@ def _run_solver(name: str, instances: list[QapInstance], steps: int, *, threads:
             }
             if trajectory is not None:
                 part["trajectory"] = trajectory
-            return part
-
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            parts = list(pool.map(work, instances))
+            parts.append(part)
 
     if fp64_check:
         for inst, part in zip(instances, parts):
@@ -302,13 +299,15 @@ def _read_reference_table(path: str) -> dict[str, float]:
     """The ``--reference FILE`` table: a JSON mapping of instance name to cost."""
     table = _read_json_object(path)
     try:
+        if any(isinstance(cost, bool) for cost in table.values()):
+            raise TypeError  # float(true) would read as a cost of 1.0
         return {name: float(cost) for name, cost in table.items()}
     except (TypeError, ValueError):
         raise ValidationError(f"{path}: reference costs must be numbers") from None
 
 
-def _reference_costs(instances: list[QapInstance], mode: str, threads: int,
-                     solver: str, steps: int, parts: list[dict]) -> list[float | None]:
+def _reference_costs(instances: list[QapInstance], mode: str, solver: str, steps: int,
+                     parts: list[dict]) -> list[float | None]:
     """Reference cost per instance for a named ``mode``, ``None`` where there is none.
 
     ``auto`` uses exact search up to n = BRUTE_FORCE_MAX_N and a 5000-step
@@ -331,8 +330,7 @@ def _reference_costs(instances: list[QapInstance], mode: str, threads: int,
         if method == solver and (method == "brute" or steps == _REFERENCE_STEPS):
             ref_parts = [parts[i] for i in idxs]
         else:
-            ref_parts = _run_solver(method, [instances[i] for i in idxs], _REFERENCE_STEPS,
-                                    threads=threads)
+            ref_parts = _run_solver(method, [instances[i] for i in idxs], _REFERENCE_STEPS)
         for i, part in zip(idxs, ref_parts):
             refs[i] = part["best_cost"]
     return refs
@@ -401,13 +399,12 @@ def cmd_solve(args) -> int:
         table = _read_reference_table(args.reference)
     run_dir = _prepare_run_dir(args.out)
     parts = _run_solver(
-        args.solver, instances, args.steps, threads=args.threads, seed=args.seed,
+        args.solver, instances, args.steps, seed=args.seed,
         checkpoint=args.checkpoint, record_trajectory=args.record_trajectory,
         fp64_check=args.fp64_check,
     )
     if table is None:
-        refs = _reference_costs(instances, args.reference, args.threads,
-                                args.solver, args.steps, parts)
+        refs = _reference_costs(instances, args.reference, args.solver, args.steps, parts)
     else:
         refs = [table.get(inst.name) for inst in instances]
     rows = _write_results(run_dir, args.solver, args.steps, args.seed,
@@ -475,7 +472,9 @@ def _resolve_train_config(args) -> tuple[TrainConfig, SawtConfig, dict]:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    if not isinstance(data["eval_count"], int) or data["eval_count"] < 0:
+    for key, default in _DATA_DEFAULTS.items():  # each default's type is its key's type
+        check_type(key, data[key], type(default).__name__)
+    if data["eval_count"] < 0:
         raise ValidationError(f"eval_count must be an integer >= 0, got {data['eval_count']!r}")
     try:
         return TrainConfig(**train_kwargs), SawtConfig(**model_kwargs), data
@@ -584,7 +583,7 @@ def cmd_qaplib_bench(args) -> int:
     run_dir = _prepare_run_dir(args.out)
     entries = [qaplib.load_entry(name, data_dir=args.data_dir) for name in names]
     parts = _run_solver(args.solver, [e.instance for e in entries], args.steps,
-                        threads=args.threads, fp64_check=args.fp64_check)
+                        fp64_check=args.fp64_check)
     rows = _write_results(run_dir, args.solver, args.steps, args.seed,
                           [e.name for e in entries], parts,
                           [e.upper_bound for e in entries],
@@ -710,10 +709,15 @@ def _config_flag(sub: argparse.ArgumentParser) -> None:
                      help="JSON config file with 'train'/'model'/'data' sections")
 
 
+def _ignored_threads_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--threads", type=int,
+                     help="ignored: every command runs on one thread; the flag "
+                          "is kept only so existing command lines still parse")
+
+
 def _solve_flags(sub: argparse.ArgumentParser) -> None:
     _run_flags(sub)
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads across instances (default: 1)")
+    _ignored_threads_flag(sub)
     sub.add_argument("--fp64-check", action="store_true",
                      help="re-verify every reported cost with a float64 "
                           "objective recomputation (exit 4 on mismatch)")
@@ -794,9 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", type=str, default=None,
                    help="checkpoint to resume from (continues epoch numbering)")
     _run_flags(p)
-    p.add_argument("--threads", type=int, default=1,
-                   help="ignored: train runs on one thread; the flag is kept only "
-                        "so existing command lines still parse")
+    _ignored_threads_flag(p)
     _config_flag(p)
     p.set_defaults(func=cmd_train, seed=None)
 

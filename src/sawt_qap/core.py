@@ -26,14 +26,11 @@ __all__ = [
     "Assignment",
     "objective",
     "objective_trace",
-    "permutation_matrix",
-    "solution_aware_matrix",
     "objective_gradient",
     "swap_delta",
     "all_swap_deltas",
     "apply_swap",
     "generate_instance",
-    "random_assignment",
     "identity_assignment",
     "is_permutation",
     "gap",
@@ -63,18 +60,23 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
 
 
-def check_field_types(config) -> None:
-    """Raise :class:`ValidationError` naming a dataclass field of the wrong type.
+def check_type(name: str, value, kind: str) -> None:
+    """Raise :class:`ValidationError` unless ``value`` is of type ``kind``.
 
-    ``int`` fields take integers and ``float`` fields integers or floats;
-    neither takes a bool.  Config dataclasses call this before range checks.
+    ``kind`` is ``"int"``, ``"float"``, ``"str"`` or ``"bool"``.  ``int``
+    takes integers and ``float`` integers or floats; neither takes a bool.
+    """
+    if not isinstance(value, _FIELD_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_field_types(config) -> None:
+    """:func:`check_type` on every field of a config dataclass, in field order.
+
+    Config dataclasses call this before range checks.
     """
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if not isinstance(value, _FIELD_TYPES[f.type]) or (
-            isinstance(value, bool) and f.type != "bool"
-        ):
-            raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
+        check_type(f.name, getattr(config, f.name), f.type)
 
 
 def _as_square_f64(arr, label: str) -> np.ndarray:
@@ -212,15 +214,6 @@ def objective(inst: QapInstance, sigma) -> float:
     return float(_kernels.objective(inst.flow, inst.distance, arr))
 
 
-def permutation_matrix(sigma) -> np.ndarray:
-    """(n, n) 0/1 matrix ``X`` with ``X[i, sigma[i]] = 1``."""
-    arr = np.asarray(sigma, dtype=np.int64)
-    n = arr.shape[0]
-    x = np.zeros((n, n), dtype=np.float64)
-    x[np.arange(n), arr] = 1.0
-    return x
-
-
 def objective_trace(inst: QapInstance, sigma) -> float:
     """Objective in trace form, ``trace(F @ X @ D @ X.T)``.
 
@@ -231,18 +224,9 @@ def objective_trace(inst: QapInstance, sigma) -> float:
     checked against each other.
     """
     arr = _check_sigma(_sigma_of(sigma), inst.n)
-    x = permutation_matrix(arr)
+    x = np.zeros((inst.n, inst.n))  # the permutation matrix X[i, sigma[i]] = 1
+    x[np.arange(inst.n), arr] = 1.0
     return float(np.trace(inst.flow @ x @ inst.distance @ x.T))
-
-
-def solution_aware_matrix(inst: QapInstance, sigma) -> np.ndarray:
-    """Solution-aware matrix ``M[i, j] = F[i, j] * D[sigma[i], sigma[j]]``.
-
-    Per-pair cost contributions of the current assignment; its total equals
-    the objective, and it is what the policy's attention is modulated by.
-    """
-    arr = _check_sigma(_sigma_of(sigma), inst.n)
-    return inst.flow * inst.distance[np.ix_(arr, arr)]
 
 
 def objective_gradient(inst: QapInstance, x: np.ndarray) -> np.ndarray:
@@ -293,12 +277,6 @@ def apply_swap(inst: QapInstance, sol: Assignment, i: int, j: int) -> Assignment
 def identity_assignment(inst: QapInstance) -> Assignment:
     """Assignment placing facility i at location i."""
     sigma = np.arange(inst.n, dtype=np.int64)
-    return Assignment(sigma, objective(inst, sigma))
-
-
-def random_assignment(inst: QapInstance, rng: np.random.Generator) -> Assignment:
-    """Uniformly random assignment drawn from ``rng``."""
-    sigma = rng.permutation(inst.n).astype(np.int64)
     return Assignment(sigma, objective(inst, sigma))
 
 

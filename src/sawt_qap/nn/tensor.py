@@ -100,9 +100,8 @@ class Tensor:
         return Tensor(data, requires_grad=True, name=name)
 
     @staticmethod
-    def const(data, dtype=None) -> "Tensor":
-        arr = np.asarray(data, dtype=dtype) if dtype is not None else np.asarray(data)
-        return Tensor(arr)
+    def const(data) -> "Tensor":
+        return Tensor(data)
 
     # -- basic introspection ---------------------------------------------------
     @property

@@ -133,7 +133,11 @@ class InstanceBatch:
         return self.flow.shape[1]
 
     def solution_aware(self, sigma: np.ndarray) -> np.ndarray:
-        """Batched ``M_sigma = F * D[sigma, sigma]`` for sigma of shape (B, n)."""
+        """Batched ``M_sigma = F * D[sigma, sigma]`` for sigma of shape (B, n).
+
+        The package's one solution-aware matrix: ``M[b, i, j]`` is pair
+        (i, j)'s contribution to row b's cost, so each ``M[b]`` sums to it.
+        """
         b = np.arange(self.size)[:, None, None]
         return self.flow * self.dist[b, sigma[:, :, None], sigma[:, None, :]]
 
@@ -341,7 +345,6 @@ class SawtPolicy:
         h: Tensor,
         h_best: Tensor,
         rng=None,
-        greedy: bool = False,
         forced: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> ActionOutput:
         """Score and pick one swap per batch element.
@@ -352,12 +355,12 @@ class SawtPolicy:
         caller owns both, so search can take a new incumbent's encoding from
         the pass that encoded it as the current assignment, while training
         passes graph-attached encodings.  The swap distribution factorizes
-        as ``p1(i) * p2(j | i)`` with ``j = i`` masked out.  ``greedy`` takes
-        argmax actions (evaluation); otherwise ``rng`` samples.  ``forced``
-        pins the actions (used by gradient checks), bypassing both.
+        as ``p1(i) * p2(j | i)`` with ``j = i`` masked out.  ``rng`` samples
+        both actions; ``forced`` pins them instead (gradient checks and
+        deterministic tests).
         """
-        if forced is None and not greedy and rng is None:
-            raise ValidationError("sampling mode requires an rng")
+        if forced is None and rng is None:
+            raise ValidationError("act needs an rng to sample, or forced actions")
         B, n = h.shape[:2]
         if h_best.shape != (B, n, self.config.d_emb):
             raise ValidationError(
@@ -372,7 +375,7 @@ class SawtPolicy:
         a1 = (
             np.asarray(forced[0], dtype=np.int64)
             if forced is not None
-            else self._pick(p1.data, rng, greedy)
+            else self._sample(p1.data, rng)
         )
 
         h_a1 = nn.take_rows(h, a1)  # (B, d)
@@ -388,7 +391,7 @@ class SawtPolicy:
         a2 = (
             np.asarray(forced[1], dtype=np.int64)
             if forced is not None
-            else self._pick(p2.data, rng, greedy)
+            else self._sample(p2.data, rng)
         )
 
         log_prob = nn.add(
@@ -408,10 +411,8 @@ class SawtPolicy:
         return ActionOutput(a1, a2, log_prob, entropy, value, p1.data, p2.data)
 
     @staticmethod
-    def _pick(probs: np.ndarray, rng, greedy: bool) -> np.ndarray:
-        if greedy:
-            return probs.argmax(axis=-1).astype(np.int64)
-        # Inverse-CDF sampling, one uniform draw per row.
+    def _sample(probs: np.ndarray, rng) -> np.ndarray:
+        """Inverse-CDF sampling, one uniform draw per row."""
         cum = np.cumsum(probs.astype(np.float64), axis=-1)
         cum /= cum[:, -1:]
         u = rng.random(probs.shape[0])

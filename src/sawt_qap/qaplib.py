@@ -101,7 +101,6 @@ class QaplibEntry:
 
     name: str
     category: str
-    size: int
     instance: QapInstance
     upper_bound: float | None = None
 
@@ -327,7 +326,7 @@ def load_entry(name: str, data_dir: str | Path | None = None) -> QaplibEntry:
         )
     bound = _KNOWN_BOUNDS.get(name.lower())
     return QaplibEntry(
-        name=name, category=category, size=size, instance=inst,
+        name=name, category=category, instance=inst,
         upper_bound=float(bound) if bound is not None else None,
     )
 
@@ -341,7 +340,6 @@ def fetch(
     name: str,
     data_dir: str | Path | None = None,
     base_url: str | None = None,
-    include_solution: bool = True,
     timeout: float = 30.0,
 ) -> list[Path]:
     """Download ``<name>.dat`` (and ``.sln``) into the data directory.
@@ -350,8 +348,9 @@ def fetch(
     environment variable, then the default mirror.  Files are expected at
     ``<base>/data.d/<name>.dat`` and ``<base>/soln.d/<name>.sln``
     (``file://`` URLs work, which is how tests exercise this offline).
-    Downloads are parse-validated before being written; a failed solution
-    download is non-fatal when ``include_solution`` is set.
+    Downloads are parse-validated before being written; a failed or
+    malformed solution download is skipped, not an error (not every
+    instance has a published ``.sln``).
 
     Returns the list of written paths.
     """
@@ -370,13 +369,12 @@ def fetch(
     dat_path = dest / f"{name}.dat"
     dat_path.write_bytes(dat)
     written.append(dat_path)
-    if include_solution:
-        try:
-            sln = grab(f"{base}/soln.d/{name}.sln")
-            parse_solution(sln, name=name)
-        except Exception:
-            return written
-        sln_path = dest / f"{name}.sln"
-        sln_path.write_bytes(sln)
-        written.append(sln_path)
+    try:
+        sln = grab(f"{base}/soln.d/{name}.sln")
+        parse_solution(sln, name=name)
+    except Exception:
+        return written
+    sln_path = dest / f"{name}.sln"
+    sln_path.write_bytes(sln)
+    written.append(sln_path)
     return written

@@ -62,12 +62,10 @@ class SearchState:
     cost: np.ndarray  # (B,) current cost
     best_sigma: np.ndarray  # (B, n) incumbent assignment
     best_cost: np.ndarray  # (B,) incumbent cost
-    t: int = 0
 
     def copy(self) -> "SearchState":
         return SearchState(
-            self.sigma.copy(), self.cost.copy(),
-            self.best_sigma.copy(), self.best_cost.copy(), self.t,
+            self.sigma.copy(), self.cost.copy(), self.best_sigma.copy(), self.best_cost.copy()
         )
 
 
@@ -83,7 +81,7 @@ def reset_state(batch: InstanceBatch, init: str = "identity", rng=None) -> Searc
     else:
         raise ValidationError(f"init must be 'identity' or 'random', got {init!r}")
     cost = np.array([_objective(i.flow, i.distance, s) for i, s in zip(batch.instances, sigma)])
-    return SearchState(sigma, cost, sigma.copy(), cost.copy(), 0)
+    return SearchState(sigma, cost, sigma.copy(), cost.copy())
 
 
 def step_state(batch: InstanceBatch, state: SearchState, swaps: np.ndarray) -> tuple[SearchState, np.ndarray]:
@@ -104,7 +102,6 @@ def step_state(batch: InstanceBatch, state: SearchState, swaps: np.ndarray) -> t
             rewards[b] = new.best_cost[b] - new.cost[b]
             new.best_cost[b] = new.cost[b]
             new.best_sigma[b] = new.sigma[b]
-    new.t += 1
     return new, rewards
 
 

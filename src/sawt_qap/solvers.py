@@ -11,7 +11,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import _kernels
 from .core import (
@@ -161,6 +160,10 @@ def tabu_search(
 
 def hungarian_projection(scores: np.ndarray) -> np.ndarray:
     """Permutation maximizing ``sum_i scores[i, sigma[i]]`` (Hungarian)."""
+    # Imported on first use: only `sm` needs scipy, and loading scipy.optimize
+    # would otherwise dominate the start-up time of every command.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-scores)
     sigma = np.empty(scores.shape[0], dtype=np.int64)
     sigma[rows] = cols

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from sawt_qap import nn
-from sawt_qap.core import QapInstance, make_rng
+from sawt_qap.core import Assignment, QapInstance, make_rng, objective
 from sawt_qap.errors import NumericalAbortError
 from sawt_qap.nn.tensor import Tensor, _make, _unbroadcast
 from sawt_qap.policy import InstanceBatch
@@ -143,6 +143,20 @@ def naive_trace_objective(flow, distance, sigma) -> float:
     for i in range(n):
         x[i, sigma[i]] = 1.0
     return float(np.trace(np.asarray(flow) @ x @ np.asarray(distance) @ x.T))
+
+
+def permutation_matrix(sigma) -> np.ndarray:
+    """(n, n) 0/1 matrix ``X`` with ``X[i, sigma[i]] = 1``."""
+    n = len(sigma)
+    x = np.zeros((n, n))
+    x[np.arange(n), sigma] = 1.0
+    return x
+
+
+def random_assignment(inst: QapInstance, rng) -> Assignment:
+    """Uniformly random assignment drawn from ``rng`` (one ``permutation`` call)."""
+    sigma = rng.permutation(inst.n).astype(np.int64)
+    return Assignment(sigma, objective(inst, sigma))
 
 
 def random_asymmetric_instance(rng, n, scale=1.0, name=None) -> QapInstance:

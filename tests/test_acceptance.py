@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import div, fd_gradient, gradcheck, sqrt, stack, transpose
+from helpers import div, fd_gradient, gradcheck, random_assignment, sqrt, stack, transpose
 from sawt_qap import (
     all_swap_deltas,
     apply_swap,
@@ -25,7 +25,6 @@ from sawt_qap import (
     objective,
     objective_gradient,
     objective_trace,
-    random_assignment,
     swap_delta,
 )
 from sawt_qap.cli import main
@@ -212,7 +211,7 @@ def _primitive_cases(rng):
     mix = rng.random((2, 3, 3)) + 0.5
 
     def const(value, like):
-        return Tensor.const(value, dtype=like.dtype)
+        return Tensor.const(np.asarray(value, dtype=like.dtype))
 
     return [
         ("add", lambda: tensor_sum(mul(add(a, b), add(a, row))), [a, b, row]),

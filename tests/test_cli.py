@@ -1,12 +1,16 @@
 """CLI: subcommands, exit codes, result files, manifest reproducibility."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sawt_qap
 from sawt_qap import instance_from_json, objective
 from sawt_qap.cli import main
 from sawt_qap.nn import Adam
@@ -197,12 +201,25 @@ def test_fp64_check_aborts_on_mismatch(gen_dir, tmp_path, monkeypatch, capsys):
 
 
 def test_solve_threads_do_not_change_output(gen_dir, tmp_path):
-    args = ["solve", "--instances", str(gen_dir), "--solver", "tabu",
-            "--steps", "300", "--seed", "5"]
-    out1, out2 = tmp_path / "t1", tmp_path / "t4"
-    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
-    assert main(args + ["--threads", "4", "--out", str(out2)]) == 0
-    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+    # --threads still parses on solve, qaplib bench and train; it is ignored.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(SMALL_MODEL))
+    commands = [
+        (["solve", "--instances", str(gen_dir), "--solver", "tabu", "--steps", "300",
+          "--seed", "5"], ["results.csv"]),
+        (["qaplib", "bench", "had12,chr12c", "--steps", "300"],
+         ["results.csv", "categories.csv"]),
+        (["train", "--config", str(cfg_path), "--n", "5", "--count", "4", "--epochs", "1",
+          "--batch-size", "4", "--episode-length", "3", "--eval-count", "2",
+          "--eval-every", "1", "--eval-steps", "3"], ["policy.ckpt", "policy_best.ckpt"]),
+    ]
+    for k, (args, outputs) in enumerate(commands):
+        runs = []
+        for threads in (["--threads", "1"], ["--threads", "2"], []):
+            out = tmp_path / f"run{k}-{len(runs)}"
+            assert main([*args, *threads, "--out", str(out)]) == 0
+            runs.append([(out / name).read_bytes() for name in outputs])
+        assert runs[0] == runs[1] == runs[2], args[0]
 
 
 def test_solve_reference_modes(gen_dir, tmp_path):
@@ -256,6 +273,28 @@ def test_solve_sm_has_no_size_limit(tmp_path):
                  "--reference", "none", "--out", str(out)]) == 0
     rows = read_csv(out / "results.csv")
     assert len(rows) == 2 and all(float(row["best_cost"]) > 0.0 for row in rows)
+
+
+def test_cli_import_loads_no_scipy_until_sm_runs(tmp_path):
+    # Only solver 'sm' needs scipy, and it imports it on first use, so no
+    # other command pays for loading scipy.optimize.  A fresh interpreter
+    # shows what importing the CLI loads.
+    gen, out = str(tmp_path / "gen"), str(tmp_path / "run")
+    script = f"""
+import sys
+from sawt_qap import cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded"
+assert cli.main(["generate", "--n", "5", "--count", "2", "--out", {gen!r}]) == 0
+assert cli.main(["solve", "--instances", {gen!r}, "--solver", "sm",
+                 "--reference", "none", "--out", {out!r}]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+    src = str(Path(sawt_qap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert len(read_csv(Path(out) / "results.csv")) == 2
 
 
 def test_solve_missing_inputs_and_checkpoint(gen_dir, tmp_path, capsys):
@@ -418,13 +457,19 @@ def test_train_rejects_negative_eval_every(tmp_path, capsys):
     (["--eval-count", "-1"], {}, "eval_count"),
     ([], {"eval_count": "2"}, "eval_count"),
     ([], {"cont": 5}, "cont"),
+    ([], {"n": 6.5}, "n must be int"),
+    ([], {"count": "4"}, "count must be int"),
+    ([], {"eval_count": True}, "eval_count must be int"),
+    ([], {"p": "0.5"}, "p must be float"),
+    ([], {"p": False}, "p must be float"),
 ])
 def test_train_rejects_bad_data_section(tmp_path, capsys, flags, data, key):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"data": data}))
+    # n and count come from the file, not flags, so a bad value there is read.
+    cfg_path.write_text(json.dumps({"data": {"n": 5, "count": 2, **data}}))
     out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg_path), "--n", "5", "--count", "2",
-                 "--epochs", "1", "--eval-every", "1", *flags, "--out", str(out)]) == 3
+    assert main(["train", "--config", str(cfg_path), "--epochs", "1", "--eval-every", "1",
+                 *flags, "--out", str(out)]) == 3
     assert key in capsys.readouterr().err
     assert not out.exists()
 
@@ -650,6 +695,7 @@ def test_rerun_missing_manifest(tmp_path):
     ("solve --reference", "{not json"),
     ("solve --reference", "[1, 2]"),
     ("solve --reference", '{"rand6-s11": "cheap"}'),
+    ("solve --reference", '{"rand6-s11": true}'),
     ("train --config", "{not json"),
     ("train --config", '{"model": [1, 2]}'),
     ("train --config", '{"train": {"epochs": 1.5}}'),

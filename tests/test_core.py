@@ -10,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sawt_qap as sq
-from helpers import naive_objective, naive_trace_objective, random_asymmetric_instance
+from helpers import (
+    naive_objective,
+    naive_trace_objective,
+    random_asymmetric_instance,
+    random_assignment,
+)
 
 from sawt_qap.errors import ValidationError
+from sawt_qap.policy import InstanceBatch
 
 
 class TestObjective:
@@ -43,7 +49,7 @@ class TestObjective:
 
     def test_accepts_assignment(self, rng):
         inst = sq.generate_instance(6, seed=1)
-        a = sq.random_assignment(inst, rng)
+        a = random_assignment(inst, rng)
         assert sq.objective(inst, a) == pytest.approx(a.cost, rel=1e-12)
 
     def test_rejects_non_permutation(self):
@@ -67,11 +73,19 @@ class TestObjective:
         )
 
 
+def solution_aware(inst, sigma) -> np.ndarray:
+    """``InstanceBatch.solution_aware`` on a one-instance float64 batch."""
+    batch = InstanceBatch([inst], inst.flow[None], inst.distance[None], None, None)
+    return batch.solution_aware(np.asarray(sigma)[None])[0]
+
+
 class TestSolutionAwareMatrix:
+    """The policy's ``M_sigma``, the one solution-aware matrix in the package."""
+
     def test_entries_and_sum(self, rng):
         inst = random_asymmetric_instance(rng, 6)
         sigma = rng.permutation(6).astype(np.int64)
-        m = sq.solution_aware_matrix(inst, sigma)
+        m = solution_aware(inst, sigma)
         for i in range(6):
             for j in range(6):
                 assert m[i, j] == pytest.approx(
@@ -82,7 +96,7 @@ class TestSolutionAwareMatrix:
 
     def test_zero_flow_gives_zero_matrix(self):
         inst = sq.QapInstance("z", np.zeros((4, 4)), np.ones((4, 4)))
-        m = sq.solution_aware_matrix(inst, np.arange(4))
+        m = solution_aware(inst, np.arange(4))
         assert np.all(m == 0.0)
 
 
@@ -153,7 +167,7 @@ class TestSwapDelta:
 
     def test_apply_swap_updates_cache(self, rng):
         inst = random_asymmetric_instance(rng, 9)
-        a = sq.random_assignment(inst, rng)
+        a = random_assignment(inst, rng)
         b = sq.apply_swap(inst, a, 2, 6)
         assert b.cost == pytest.approx(sq.objective(inst, b.sigma), rel=1e-9)
         back = sq.apply_swap(inst, b, 2, 6)
@@ -163,7 +177,7 @@ class TestSwapDelta:
     def test_chained_swaps_drift(self, rng):
         # 2000 incremental updates stay within 1e-9 relative of recompute.
         inst = random_asymmetric_instance(rng, 12)
-        a = sq.random_assignment(inst, rng)
+        a = random_assignment(inst, rng)
         for _ in range(2000):
             i, j = map(int, rng.choice(12, size=2, replace=False))
             a = sq.apply_swap(inst, a, i, j)
@@ -175,7 +189,7 @@ class TestSwapDelta:
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         local = np.random.default_rng(seed)
         inst = random_asymmetric_instance(local, n)
-        a = sq.random_assignment(inst, local)
+        a = random_assignment(inst, local)
         i = data.draw(st.integers(min_value=0, max_value=n - 1))
         j = data.draw(st.integers(min_value=0, max_value=n - 1).filter(lambda v: v != i))
         twice = sq.apply_swap(inst, sq.apply_swap(inst, a, i, j), i, j)

@@ -172,15 +172,21 @@ def test_entropy_bounds(rng):
     assert np.all(out.entropy.data <= upper + 1e-9)
 
 
-def test_greedy_deterministic_sampling_spread(rng):
+def test_seeded_sampling_is_deterministic(rng):
     policy = SawtPolicy(SMALL, seed=3)
     batch, _ = make_batch(policy, rng, b=2, n=6)
     sigma = np.tile(np.arange(6), (2, 1))
-    g1 = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), greedy=True)
-    g2 = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), greedy=True)
+    g1 = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma),
+                    rng=np.random.default_rng(21))
+    g2 = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma),
+                    rng=np.random.default_rng(21))
     np.testing.assert_array_equal(g1.a1, g2.a1)
     np.testing.assert_array_equal(g1.a2, g2.a2)
-    assert g1.a1[0] == g1.p1[0].argmax()
+    # a1 is the inverse-CDF draw of p1 at the generator's first uniform per row.
+    cum = np.cumsum(g1.p1, axis=-1)
+    cum /= cum[:, -1:]
+    u = np.random.default_rng(21).random(2)
+    np.testing.assert_array_equal(g1.a1, (cum < u[:, None]).sum(axis=-1))
     with pytest.raises(ValidationError, match="rng"):
         policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma))
 
@@ -194,7 +200,8 @@ def test_sampling_matches_head_distribution():
     trials = 4000
     sample_rng = np.random.default_rng(9)
     with no_grad():
-        ref = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), greedy=True)
+        ref = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma),
+                         forced=([0], [1]))
         for _ in range(trials):
             h = policy.encode(batch, sigma)
             out = policy.act(h, policy.encode(batch, sigma), rng=sample_rng)
@@ -220,8 +227,9 @@ def test_second_pass_changes_heads(rng):
     batch, _ = make_batch(policy, rng, b=1, n=6)
     sigma = np.arange(6)[None, :]
     other = np.array([[1, 0, 2, 3, 4, 5]])
-    out_same = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), greedy=True)
-    out_diff = policy.act(policy.encode(batch, sigma), policy.encode(batch, other), greedy=True)
+    forced = ([2], [4])
+    out_same = policy.act(policy.encode(batch, sigma), policy.encode(batch, sigma), forced=forced)
+    out_diff = policy.act(policy.encode(batch, sigma), policy.encode(batch, other), forced=forced)
     # At random init the shift is small but must be strictly nonzero: the
     # heads depend on the best-so-far encoding.
     assert np.max(np.abs(out_same.p1 - out_diff.p1)) > 0.0
@@ -235,7 +243,7 @@ def test_act_validates_best_encoding_shape(rng):
     h_best = policy.encode(batch, sigma)
     for bad in (h_best.data[:1], h_best.data[:, :4], h_best.data[..., :8], h_best.data[0]):
         with pytest.raises(ValidationError, match="h_best"):
-            policy.act(policy.encode(batch, sigma), Tensor.const(bad), greedy=True)
+            policy.act(policy.encode(batch, sigma), Tensor.const(bad), rng=rng)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -283,10 +291,11 @@ def test_location_relabeling_invariance(rng):
     h2 = policy.encode(b2, sigma2[None, :])
     np.testing.assert_allclose(h1.data, h2.data, rtol=1e-9, atol=1e-11)
 
+    forced = ([0], [1])
     out1 = policy.act(policy.encode(b1, sigma[None, :]), policy.encode(b1, sigma[None, :]),
-                      greedy=True)
+                      forced=forced)
     out2 = policy.act(policy.encode(b2, sigma2[None, :]), policy.encode(b2, sigma2[None, :]),
-                      greedy=True)
+                      forced=forced)
     np.testing.assert_allclose(out1.p1, out2.p1, rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(out1.value.data, out2.value.data, rtol=1e-9)
 
@@ -325,10 +334,11 @@ def test_facility_relabeling_equivariance(rng):
     h2 = policy.encode(b2, sigma2[None, :])
     np.testing.assert_allclose(h2.data[0], h1.data[0][tau], rtol=1e-9, atol=1e-11)
 
+    forced = ([0], [1])
     out1 = policy.act(policy.encode(b1, sigma[None, :]), policy.encode(b1, sigma[None, :]),
-                      greedy=True)
+                      forced=forced)
     out2 = policy.act(policy.encode(b2, sigma2[None, :]), policy.encode(b2, sigma2[None, :]),
-                      greedy=True)
+                      forced=forced)
     np.testing.assert_allclose(out2.p1[0], out1.p1[0][tau], rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(out2.value.data, out1.value.data, rtol=1e-9)
 
@@ -488,8 +498,10 @@ def test_restored_policy_same_actions(tmp_path, rng):
     b1 = policy.embed_instances([inst], np.random.default_rng(1))
     b2 = restored.embed_instances([inst], np.random.default_rng(1))
     sigma = np.arange(6)[None, :]
-    o1 = policy.act(policy.encode(b1, sigma), policy.encode(b1, sigma), greedy=True)
-    o2 = restored.act(restored.encode(b2, sigma), restored.encode(b2, sigma), greedy=True)
+    o1 = policy.act(policy.encode(b1, sigma), policy.encode(b1, sigma),
+                    rng=np.random.default_rng(2))
+    o2 = restored.act(restored.encode(b2, sigma), restored.encode(b2, sigma),
+                      rng=np.random.default_rng(2))
     np.testing.assert_array_equal(o1.a1, o2.a1)
     np.testing.assert_array_equal(o1.a2, o2.a2)
     np.testing.assert_allclose(o1.p1, o2.p1, rtol=1e-6)

@@ -157,7 +157,7 @@ class TestFixtures:
     @pytest.mark.parametrize("name", ["chr12c", "esc16f", "had12"])
     def test_fixture_parses_and_matches_name(self, name):
         entry = ql.load_entry(name)
-        assert entry.instance.n == entry.size
+        assert entry.instance.n == ql.parse_name(name)[1]
         assert entry.category == ql.parse_name(name)[0]
         assert entry.upper_bound is not None
 

@@ -12,7 +12,9 @@ import sawt_qap as sq
 import sawt_qap.solvers as sv
 from helpers import (
     exhaustive_best,
+    permutation_matrix,
     random_asymmetric_instance,
+    random_assignment,
     random_integer_instance,
 )
 from sawt_qap.errors import SizeLimitError, ValidationError
@@ -47,7 +49,7 @@ class TestGreedy:
     def test_local_optimum(self, rng):
         for _ in range(10):
             inst = random_asymmetric_instance(rng, 8)
-            start = sq.random_assignment(inst, rng)
+            start = random_assignment(inst, rng)
             out = sv.greedy_descent(inst, start)
             deltas = sq.all_swap_deltas(inst, out.sigma)
             assert float(deltas.min()) >= 0.0  # no improving swap remains
@@ -55,7 +57,7 @@ class TestGreedy:
 
     def test_budget_zero_returns_start(self, rng):
         inst = random_asymmetric_instance(rng, 7)
-        start = sq.random_assignment(inst, rng)
+        start = random_assignment(inst, rng)
         out = sv.greedy_descent(inst, start, max_steps=0)
         assert np.array_equal(out.sigma, start.sigma)
         assert out.cost == pytest.approx(start.cost, rel=1e-12)
@@ -75,7 +77,7 @@ class TestGreedy:
 class TestTabu:
     def test_best_monotone_history(self, rng):
         inst = random_integer_instance(rng, 10)
-        start = sq.random_assignment(inst, rng)
+        start = random_assignment(inst, rng)
         best, hist = sv.tabu_search(
             inst, start, sv.TabuConfig(max_steps=300), return_history=True
         )
@@ -85,13 +87,13 @@ class TestTabu:
 
     def test_zero_steps_returns_start(self, rng):
         inst = random_integer_instance(rng, 8)
-        start = sq.random_assignment(inst, rng)
+        start = random_assignment(inst, rng)
         out = sv.tabu_search(inst, start, sv.TabuConfig(max_steps=0))
         assert np.array_equal(out.sigma, start.sigma)
 
     def test_deterministic(self, rng):
         inst = random_integer_instance(rng, 9)
-        start = sq.random_assignment(inst, rng)
+        start = random_assignment(inst, rng)
         cfg = sv.TabuConfig(max_steps=250, tenure=5)
         a = sv.tabu_search(inst, start, cfg)
         b = sv.tabu_search(inst, start, cfg)
@@ -102,7 +104,7 @@ class TestTabu:
         wins = 0
         for _ in range(10):
             inst = random_integer_instance(rng, 10)
-            start = sq.random_assignment(inst, rng)
+            start = random_assignment(inst, rng)
             g = sv.greedy_descent(inst, start)
             t = sv.tabu_search(inst, start, sv.TabuConfig(max_steps=400))
             assert t.cost <= g.cost + 1e-9
@@ -115,7 +117,7 @@ class TestTabu:
             inst = random_integer_instance(rng, 7)
             opt = sv.brute_force(inst)
             t = sv.tabu_search(
-                inst, sq.random_assignment(inst, rng), sv.TabuConfig(max_steps=500)
+                inst, random_assignment(inst, rng), sv.TabuConfig(max_steps=500)
             )
             hits += t.cost == opt.cost
         assert hits >= 8
@@ -160,7 +162,7 @@ class TestAssociationGraph:
         inst = random_asymmetric_instance(rng, 5)
         for _ in range(5):
             sigma = rng.permutation(5).astype(np.int64)
-            x = sq.permutation_matrix(sigma)
+            x = permutation_matrix(sigma)
             value = float(np.sum(x * (inst.flow @ x @ inst.distance.T)))
             assert value == pytest.approx(sq.objective(inst, sigma), rel=1e-9)
 
