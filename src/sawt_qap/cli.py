@@ -52,7 +52,6 @@ from .policy import SawtConfig, SawtPolicy, load_policy, save_policy
 from .rl import TrainConfig, evaluate, train
 from .solvers import (
     BRUTE_FORCE_MAX_N,
-    TabuConfig,
     brute_force,
     greedy_descent,
     spectral_matching,
@@ -86,7 +85,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _prepare_run_dir(out: str | None) -> Path:
+def _check_run_dir(out: str | None) -> Path:
+    """The run directory ``--out`` names, refused if it holds a run; not made yet."""
     if not out:
         raise ValidationError("this command writes files; pass --out RUN_DIR")
     run_dir = Path(out)
@@ -95,6 +95,11 @@ def _prepare_run_dir(out: str | None) -> Path:
             f"{run_dir} already contains a manifest.json; every run directory "
             "holds exactly one run — pick a fresh --out"
         )
+    return run_dir
+
+
+def _prepare_run_dir(out: str | None) -> Path:
+    run_dir = _check_run_dir(out)
     run_dir.mkdir(parents=True, exist_ok=True)
     return run_dir
 
@@ -216,10 +221,9 @@ def cmd_generate(args) -> int:
 
 
 def _tabu_one(inst: QapInstance, steps: int, record_trajectory: bool):
-    cfg = TabuConfig(max_steps=steps)
     if not record_trajectory:
-        return tabu_search(inst, config=cfg), None
-    sol, history = tabu_search(inst, config=cfg, return_history=True)
+        return tabu_search(inst, max_steps=steps), None
+    sol, history = tabu_search(inst, max_steps=steps, return_history=True)
     stride = max(1, len(history) // 100)
     return sol, [float(h) for h in history[::stride]]
 
@@ -485,12 +489,15 @@ def _resolve_train_config(args) -> tuple[TrainConfig, SawtConfig, dict]:
 def cmd_train(args) -> int:
     started = _utc_now()
     train_cfg, model_cfg, data = _resolve_train_config(args)
-    run_dir = _prepare_run_dir(args.out)
-
+    run_dir = _check_run_dir(args.out)
+    # Every input is built before the run directory is made, so a run that
+    # cannot start leaves no directory behind.
     if args.data:
         paths = _collect_instance_paths([args.data])
         instances = [_load_instance_file(p) for p in paths]
     else:
+        if data["count"] < 1:
+            raise ValidationError(f"count must be an integer >= 1, got {data['count']!r}")
         instances = [
             generate_instance(data["n"], p=data["p"], seed=train_cfg.seed + k)
             for k in range(data["count"])
@@ -513,6 +520,7 @@ def cmd_train(args) -> int:
     else:
         policy = SawtPolicy(model_cfg, seed=train_cfg.seed)
     optimizer = optimizer or Adam(policy.params, lr=train_cfg.lr)
+    run_dir.mkdir(parents=True, exist_ok=True)
 
     def save(name: str, epoch: int) -> None:
         save_policy(run_dir / name, policy, optimizer,

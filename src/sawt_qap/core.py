@@ -280,16 +280,11 @@ def identity_assignment(inst: QapInstance) -> Assignment:
     return Assignment(sigma, objective(inst, sigma))
 
 
-def generate_instance(
-    n: int,
-    p: float = 0.7,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
-    name: str | None = None,
-) -> QapInstance:
+def generate_instance(n: int, p: float = 0.7, seed: int | None = None) -> QapInstance:
     """Generate a random Euclidean/sparse-flow instance.
 
-    Construction (sampling order is part of the determinism contract):
+    Construction, drawing from ``make_rng(seed)`` (sampling order is part of
+    the determinism contract):
 
     1. ``coords``: n points uniform on the unit square, drawn as one
        ``rng.random((n, 2))`` call; ``distance`` is their pairwise Euclidean
@@ -302,21 +297,17 @@ def generate_instance(
     Args:
         n: Instance size (>= 2).
         p: Probability of zeroing each off-diagonal flow pair (in [0, 1]).
-        seed: Seed for a fresh PCG64 generator (ignored if ``rng`` given).
-        rng: Generator to draw from; mutually exclusive with ``seed``.
-        name: Optional instance name; defaults to ``rand<n>-s<seed>``.
+        seed: Seed for a fresh PCG64 generator; ``None`` draws fresh entropy.
 
     Returns:
-        A validated :class:`QapInstance` with coords attached.
+        A validated :class:`QapInstance` with coords attached, named
+        ``rand<n>-s<seed>``, or ``rand<n>`` without a seed.
     """
     if n < 2:
         raise ValidationError(f"instance size must be >= 2, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"sparsity p must be in [0, 1], got {p}")
-    if rng is not None and seed is not None:
-        raise ValidationError("pass either seed or rng, not both")
-    if rng is None:
-        rng = make_rng(seed)
+    rng = make_rng(seed)
 
     coords = rng.random((n, 2))
     diff = coords[:, None, :] - coords[None, :, :]
@@ -333,8 +324,7 @@ def generate_instance(
     flow = np.where(keep, flow, 0.0)
     np.fill_diagonal(flow, 0.0)
 
-    if name is None:
-        name = f"rand{n}-s{seed}" if seed is not None else f"rand{n}"
+    name = f"rand{n}-s{seed}" if seed is not None else f"rand{n}"
     return QapInstance(
         name=name, flow=flow, distance=distance, coords=coords, seed=seed, p=p
     )

@@ -9,9 +9,14 @@ from .tensor import Tensor
 
 __all__ = ["Adam"]
 
+# Kingma & Ba's defaults, the only values the trainer uses.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    """Adam with bias correction (Kingma & Ba defaults).
+    """Adam with bias correction and fixed ``BETA1``, ``BETA2``, ``EPS``.
 
     Moment buffers are float64 regardless of parameter dtype so that repeated
     tiny updates do not lose mass to rounding; updates are cast back to each
@@ -19,23 +24,11 @@ class Adam:
     gradient leaves parameters bit-for-bit unchanged.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         if not 0.0 < lr:
             raise ValidationError(f"lr must be positive, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValidationError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = {k: np.zeros(t.shape, dtype=np.float64) for k, t in self.params.items()}
         self.v = {k: np.zeros(t.shape, dtype=np.float64) for k, t in self.params.items()}
@@ -52,17 +45,17 @@ class Adam:
         optimizer never moves them.
         """
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
+        bc1 = 1.0 - BETA1**self.step_count
+        bc2 = 1.0 - BETA2**self.step_count
         for name, t in self.params.items():
             g = np.zeros(t.shape, dtype=np.float64) if t.grad is None else t.grad.astype(np.float64)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
             t.data = (t.data.astype(np.float64) - update).astype(t.data.dtype)
 
     # -- checkpoint plumbing ---------------------------------------------------

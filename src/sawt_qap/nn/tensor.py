@@ -274,41 +274,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
+    """Sum over ``axis``, or over every element when ``axis`` is ``None``."""
+
     def backward(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g, a.shape).copy()),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return ((a, np.broadcast_to(gg, a.shape).copy()),)
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.sum(axis=axis), (a,), backward)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
+def mean(a: Tensor, axis: int) -> Tensor:
+    """Mean over ``axis``, which is dropped from the shape."""
+    count = a.data.shape[axis]
 
     def backward(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g / count, a.shape).copy()),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(gg / count, a.shape).copy()),)
+        return ((a, np.broadcast_to(np.expand_dims(g, axis) / count, a.shape).copy()),)
 
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.mean(axis=axis), (a,), backward)
 
 
-def tensor_max(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def tensor_max(a: Tensor, axis: int) -> Tensor:
+    """Max over ``axis``, which is dropped; the gradient splits evenly over ties."""
     out_data = a.data.max(axis=axis, keepdims=True)
     mask = a.data == out_data
     counts = mask.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return ((a, mask * (gg / counts)),)
+        return ((a, mask * (np.expand_dims(g, axis) / counts)),)
 
-    return _make(out_data if keepdims else out_data.squeeze(axis), (a,), backward)
+    return _make(out_data.squeeze(axis), (a,), backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -419,12 +414,18 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out_data, parents, backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """LayerNorm over the last axis with learnable gain/bias (Ba et al. 2016)."""
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """LayerNorm over the last axis with learnable gain/bias (Ba et al. 2016).
+
+    ``LAYER_NORM_EPS`` is added to the variance in the input's dtype.
+    """
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    std = np.sqrt(var + np.asarray(eps, dtype=a.dtype))
+    std = np.sqrt(var + np.asarray(LAYER_NORM_EPS, dtype=a.dtype))
     normed = centered / std
     out_data = normed * gain.data + bias.data
 

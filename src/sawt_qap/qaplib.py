@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import re
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -125,7 +124,7 @@ def parse_name(name: str) -> tuple[str, int, str]:
     return m.group(1).lower(), int(m.group(2)), m.group(3)
 
 
-def _tokens(data: bytes | str, source: str | None):
+def _tokens(data: bytes | str):
     if isinstance(data, str):
         data = data.encode("utf-8")
     return data, list(_TOKEN_RE.finditer(data))
@@ -153,7 +152,7 @@ def parse_qaplib(data: bytes | str, name: str | None = None) -> QapInstance:
         ValidationError: If the matrices violate instance invariants
             (negative or non-finite entries).
     """
-    raw, toks = _tokens(data, name)
+    raw, toks = _tokens(data)
     if not toks:
         raise ParseError("empty instance file", offset=0, source=name)
     n_val = _numeric(toks[0], name)
@@ -205,7 +204,7 @@ def parse_solution(data: bytes | str, name: str | None = None):
     Raises:
         ParseError: On malformed content, with byte offset.
     """
-    raw, toks = _tokens(data, name)
+    raw, toks = _tokens(data)
     if len(toks) < 2:
         raise ParseError("solution file needs at least n and a value",
                          offset=len(raw), source=name)
@@ -359,6 +358,9 @@ def fetch(
     dest = Path(data_dir) if data_dir is not None else default_data_dir()
     dest.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    # Imported on first use: urllib.request loads ssl and http.client, which
+    # no other command needs.
+    import urllib.request
 
     def grab(url: str) -> bytes:
         with urllib.request.urlopen(url, timeout=timeout) as resp:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import nn
 from ._kernels import objective as _objective, swap_delta as _swap_delta
-from .core import check_field_types, make_rng
+from .core import check_field_types, check_type, make_rng
 from .errors import NumericalAbortError, ValidationError
 from .policy import InstanceBatch, SawtPolicy
 
@@ -346,6 +346,7 @@ def evaluate(policy: SawtPolicy, instances, steps: int = 100, seed: int = 0) -> 
     instances = list(instances)
     if not instances:
         raise ValidationError("evaluate needs at least one instance")
+    check_type("steps", steps, "int")
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps}")
     rng = make_rng(seed)

@@ -16,6 +16,7 @@ from . import _kernels
 from .core import (
     Assignment,
     QapInstance,
+    check_type,
     identity_assignment,
     objective,
 )
@@ -23,7 +24,6 @@ from .errors import SizeLimitError, ValidationError
 
 __all__ = [
     "BRUTE_FORCE_MAX_N",
-    "TabuConfig",
     "SpectralResult",
     "brute_force",
     "greedy_descent",
@@ -76,8 +76,9 @@ def greedy_descent(
     Args:
         inst: Problem instance.
         start: Starting assignment (identity when omitted).
-        max_steps: Upper bound on applied swaps (>= 0).
+        max_steps: Upper bound on applied swaps (int >= 0).
     """
+    check_type("max_steps", max_steps, "int")
     if max_steps < 0:
         raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
     if start is None:
@@ -93,30 +94,10 @@ def default_tenure(n: int) -> int:
     return max(7, n // 4)
 
 
-@dataclass(frozen=True)
-class TabuConfig:
-    """Tabu search parameters.
-
-    Attributes:
-        max_steps: Number of moves to apply (every step applies one swap).
-        tenure: Steps a just-applied pair stays tabu; ``None`` resolves to
-            :func:`default_tenure` for the instance at hand.
-    """
-
-    max_steps: int = 5000
-    tenure: int | None = None
-
-    def __post_init__(self):
-        if self.max_steps < 0:
-            raise ValidationError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.tenure is not None and self.tenure < 0:
-            raise ValidationError(f"tenure must be >= 0, got {self.tenure}")
-
-
 def tabu_search(
     inst: QapInstance,
     start: Assignment | None = None,
-    config: TabuConfig | None = None,
+    max_steps: int = 5000,
     return_history: bool = False,
 ):
     """Tabu search over the 2-swap neighborhood; returns the best found.
@@ -125,25 +106,27 @@ def tabu_search(
     pair is not tabu, or the move would beat the global best by more than a
     relative 1e-9 (aspiration; the margin keeps out a move back to the best
     permutation, which only ties it, however it rounds).  Applied pairs
-    become tabu for ``tenure`` steps.  If every move is tabu and none
-    aspirates, the best tabu move is applied so the search keeps moving.
-    Deterministic; ties break lexicographically.
+    become tabu for :func:`default_tenure` steps.  If every move is tabu and
+    none aspirates, the best tabu move is applied so the search keeps
+    moving.  Deterministic; ties break lexicographically.
 
     Args:
         inst: Problem instance.
         start: Starting assignment (identity when omitted).
-        config: :class:`TabuConfig` (defaults used when omitted).
+        max_steps: Number of moves to apply (int >= 0; every step applies
+            one swap).
         return_history: Also return the best-so-far cost after each step.
 
     Returns:
         The best :class:`Assignment` seen, or ``(assignment, history)``.
     """
-    cfg = config or TabuConfig()
+    check_type("max_steps", max_steps, "int")
+    if max_steps < 0:
+        raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
     if start is None:
         start = identity_assignment(inst)
-    tenure = cfg.tenure if cfg.tenure is not None else default_tenure(inst.n)
     best_sigma, best_cost, _cur, _cur_cost, history = _kernels.tabu(
-        inst.flow, inst.distance, start.sigma, cfg.max_steps, tenure
+        inst.flow, inst.distance, start.sigma, max_steps, default_tenure(inst.n)
     )
     best = Assignment(best_sigma, best_cost)
     if start.cost <= best_cost:  # max_steps == 0 or the start was never beaten

@@ -403,10 +403,13 @@ def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
     advantage = returns - values.data.astype(np.float64)  # detached baseline
     coef = config.entropy_beta * config.entropy_decay**epoch
 
-    policy_term = nn.neg(nn.mean(nn.mul(logp, nn.Tensor.const(advantage.astype(dt)))))
-    entropy_term = nn.mean(entropy)
+    def mean_tb(x):  # mean over (T, B)
+        return nn.mean(nn.mean(x, axis=1), axis=0)
+
+    policy_term = nn.neg(mean_tb(nn.mul(logp, nn.Tensor.const(advantage.astype(dt)))))
+    entropy_term = mean_tb(entropy)
     err = nn.sub(nn.Tensor.const(returns.astype(dt)), values)
-    value_term = nn.mean(nn.mul(err, err))
+    value_term = mean_tb(nn.mul(err, err))
     loss = nn.sub(
         nn.add(policy_term, nn.mul(nn.Tensor.const(np.asarray(config.value_coef, dtype=dt)), value_term)),
         nn.mul(nn.Tensor.const(np.asarray(coef, dtype=dt)), entropy_term),
@@ -488,11 +491,14 @@ def linear_composite(x, weight, bias=None):
     return out
 
 
-def layer_norm_composite(a, gain, bias, eps=1e-5):
-    mu = nn.mean(a, axis=-1, keepdims=True)
+def layer_norm_composite(a, gain, bias):
+    def mean_last(x):  # mean over the last axis, kept as length 1
+        return nn.reshape(nn.mean(x, axis=-1), x.shape[:-1] + (1,))
+
+    mu = mean_last(a)
     centered = nn.sub(a, mu)
-    var = nn.mean(nn.mul(centered, centered), axis=-1, keepdims=True)
-    inv = div(centered, sqrt(nn.add(var, nn.Tensor.const(np.asarray(eps, dtype=a.dtype)))))
+    var = mean_last(nn.mul(centered, centered))
+    inv = div(centered, sqrt(nn.add(var, nn.Tensor.const(np.asarray(1e-5, dtype=a.dtype)))))
     return nn.add(nn.mul(inv, gain), bias)
 
 

@@ -59,7 +59,7 @@ from sawt_qap.rl import (
     step_state,
     train,
 )
-from sawt_qap.solvers import TabuConfig, brute_force, greedy_descent, spectral_matching, tabu_search
+from sawt_qap.solvers import brute_force, greedy_descent, spectral_matching, tabu_search
 
 
 def criterion(cid: str, title: str):
@@ -418,7 +418,7 @@ def test_08a_tabu_reaches_optimum():
         n = 4 + k % 5
         inst = generate_instance(n, p=0.5, seed=800 + k)
         opt = brute_force(inst).cost
-        sol = tabu_search(inst, config=TabuConfig(max_steps=5000))
+        sol = tabu_search(inst, max_steps=5000)
         hits += int(abs(sol.cost - opt) <= 1e-9 * max(1.0, opt))
     assert hits >= 95, f"tabu(5k) matched the optimum on only {hits}/100 instances"
     return f"{hits}/100 optima found"
@@ -441,7 +441,7 @@ def test_08b_tabu_nug12():
                 "machine and re-run. The check itself is implemented below and "
                 "runs whenever the file is present."
             )
-    sol = tabu_search(entry.instance, config=TabuConfig(max_steps=5000))
+    sol = tabu_search(entry.instance, max_steps=5000)
     g = gap(sol.cost, 578.0)
     assert g <= 1.0, f"tabu(5k) gap on nug12: {g:.3f}% > 1%"
     return f"nug12 cost {sol.cost:.0f}, gap {g:.3f}% vs 578"
@@ -557,7 +557,7 @@ def test_11_heuristic_ordering():
         gaps["sm"].append(gap(spectral_matching(inst).assignment.cost, opt))
         gaps["greedy"].append(gap(greedy_descent(inst).cost, opt))
         gaps["tabu"].append(
-            gap(tabu_search(inst, config=TabuConfig(max_steps=1000)).cost, opt)
+            gap(tabu_search(inst, max_steps=1000).cost, opt)
         )
     sm, greedy, tabu = (float(np.mean(gaps[k])) for k in ("sm", "greedy", "tabu"))
     assert sm > greedy > tabu >= 0.0, (

@@ -284,6 +284,9 @@ def test_cli_import_loads_no_scipy_until_sm_runs(tmp_path):
 import sys
 from sawt_qap import cli
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded"
+# qaplib.fetch alone downloads; it imports urllib.request on first use.
+loaded = [m for m in ("urllib.request", "http.client", "ssl") if m in sys.modules]
+assert not loaded, loaded
 assert cli.main(["generate", "--n", "5", "--count", "2", "--out", {gen!r}]) == 0
 assert cli.main(["solve", "--instances", {gen!r}, "--solver", "sm",
                  "--reference", "none", "--out", {out!r}]) == 0
@@ -462,6 +465,10 @@ def test_train_rejects_negative_eval_every(tmp_path, capsys):
     ([], {"eval_count": True}, "eval_count must be int"),
     ([], {"p": "0.5"}, "p must be float"),
     ([], {"p": False}, "p must be float"),
+    ([], {"count": -1}, "count must be an integer >= 1"),
+    ([], {"count": 0}, "count must be an integer >= 1"),
+    ([], {"n": 1}, "instance size must be >= 2"),
+    ([], {"p": 1.5}, "sparsity p"),
 ])
 def test_train_rejects_bad_data_section(tmp_path, capsys, flags, data, key):
     cfg_path = tmp_path / "config.json"
@@ -472,6 +479,31 @@ def test_train_rejects_bad_data_section(tmp_path, capsys, flags, data, key):
                  *flags, "--out", str(out)]) == 3
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_resume_of_missing_file_leaves_no_run_dir(tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--n", "5", "--count", "2", "--epochs", "1",
+                 "--resume", str(tmp_path / "missing.ckpt"), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_train_data_of_missing_dir_leaves_no_run_dir(tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--epochs", "1", "--data", str(tmp_path / "nope"),
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_train_refuses_existing_manifest_before_loading_data(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}")
+    # The missing --data directory would fail too; the run directory is checked first.
+    assert main(["train", "--epochs", "1", "--data", str(tmp_path / "nope"),
+                 "--out", str(out)]) == 3
+    assert "already contains a manifest.json" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 @pytest.mark.parametrize("flags", [

@@ -238,8 +238,6 @@ class TestGeneration:
             sq.generate_instance(1, seed=0)
         with pytest.raises(ValidationError):
             sq.generate_instance(5, p=1.5, seed=0)
-        with pytest.raises(ValidationError):
-            sq.generate_instance(5, seed=0, rng=np.random.default_rng(0))
 
 
 class TestValidation:

@@ -116,9 +116,6 @@ def test_fd_sum_mean_axes(rng):
     w = leaf(rng, 3, 5)
     gradcheck(lambda: tensor_sum(mul(tensor_sum(a, axis=1), w)), [a, w])
     gradcheck(lambda: tensor_sum(mul(mean(a, axis=1), w)), [a, w])
-    gradcheck(lambda: mean(mul(a, a)), [a])
-    w2 = leaf(rng, 3, 1, 5)
-    gradcheck(lambda: tensor_sum(mul(mean(a, axis=1, keepdims=True), w2)), [a, w2])
 
 
 def test_fd_max(rng):
@@ -483,8 +480,6 @@ def test_adam_validation():
     p = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(ValidationError):
         Adam({"p": p}, lr=0.0)
-    with pytest.raises(ValidationError):
-        Adam({"p": p}, beta1=1.0)
 
 
 # ---------------------------------------------------------------------------

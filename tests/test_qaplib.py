@@ -191,13 +191,13 @@ class TestFixtures:
 class TestDataDirAndFetch:
     def test_data_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SAWT_QAP_DATA_DIR", str(tmp_path))
-        inst = generate_instance(4, seed=8, name="toy4")
+        inst = generate_instance(4, seed=8)
         (tmp_path / "toy4.dat").write_text(ql.format_qaplib(inst))
         loaded = ql.load_instance("toy4")
         assert np.array_equal(loaded.flow, inst.flow)
 
     def test_explicit_dir_wins(self, tmp_path):
-        inst = generate_instance(4, seed=9, name="toy4b")
+        inst = generate_instance(4, seed=9)
         (tmp_path / "toy4b.dat").write_text(ql.format_qaplib(inst))
         loaded = ql.load_instance("toy4b", data_dir=tmp_path)
         assert np.array_equal(loaded.distance, inst.distance)
@@ -206,7 +206,7 @@ class TestDataDirAndFetch:
         remote = tmp_path / "remote"
         (remote / "data.d").mkdir(parents=True)
         (remote / "soln.d").mkdir()
-        inst = generate_instance(5, seed=10, name="toy5")
+        inst = generate_instance(5, seed=10)
         (remote / "data.d" / "toy5.dat").write_text(ql.format_qaplib(inst))
         (remote / "soln.d" / "toy5.sln").write_text("5 1.5\n1 2 3 4 5\n")
         return remote, inst

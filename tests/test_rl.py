@@ -471,6 +471,13 @@ def test_evaluate_zero_steps_reports_start(policy):
         evaluate(policy, instances, steps=-1)
 
 
+@pytest.mark.parametrize("steps", [1.5, True])
+def test_evaluate_steps_must_be_int(policy, steps):
+    instances = [generate_instance(5, seed=310)]
+    with pytest.raises(ValidationError, match="steps must be int"):
+        evaluate(policy, instances, steps=steps)
+
+
 def test_train_resume_continues_epoch_numbering():
     instances = [generate_instance(4, seed=650 + k) for k in range(4)]
     policy = SawtPolicy(TINY, seed=19)
