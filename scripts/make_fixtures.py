@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sawt_qap import QapInstance, qaplib
 from sawt_qap import _kernels as kernels
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "sawt_qap" / "data" / "qaplib"
@@ -145,22 +146,6 @@ def exact_optimum(flow: np.ndarray, distance: np.ndarray) -> tuple[np.ndarray, f
     return sigma, float(cost)
 
 
-def write_dat(path: Path, flow: np.ndarray, distance: np.ndarray) -> None:
-    n = flow.shape[0]
-    lines = [str(n), ""]
-    for mat in (flow, distance):
-        for row in mat:
-            lines.append(" ".join(str(int(v)) for v in row))
-        lines.append("")
-    path.write_text("\n".join(lines))
-
-
-def write_sln(path: Path, value: float, sigma: np.ndarray) -> None:
-    n = sigma.shape[0]
-    perm_1based = " ".join(str(int(v) + 1) for v in sigma)
-    path.write_text(f"{n} {int(value)}\n{perm_1based}\n")
-
-
 def main() -> int:
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     fixtures = [
@@ -188,8 +173,9 @@ def main() -> int:
             ok = False
             print(f"  !! refusing to write {name} fixtures")
             continue
-        write_dat(OUT_DIR / f"{name}.dat", flow, distance)
-        write_sln(OUT_DIR / f"{name}.sln", cost, sigma)
+        inst = QapInstance(name=name, flow=flow, distance=distance)
+        (OUT_DIR / f"{name}.dat").write_text(qaplib.format_qaplib(inst))
+        (OUT_DIR / f"{name}.sln").write_text(qaplib.format_solution(cost, sigma))
     return 0 if ok else 1
 
 

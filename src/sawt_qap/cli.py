@@ -12,12 +12,18 @@ Output conventions:
 * ``results.csv`` — deterministic result rows (no timings); byte-stable
   across reruns with the same arguments on one platform.
 * ``results.jsonl`` — the same rows plus volatile fields (``wall_ms``,
-  optional cost trajectories).  ``sawt`` rows are searched in batches: their
-  ``wall_ms`` is the measured time of the row's batch, ``batch_size`` its size.
+  ``sigma``; ``tabu`` rows add their best-cost ``trajectory``).  ``sawt`` rows
+  are searched in batches: their ``wall_ms`` is the measured time of the
+  row's batch, ``batch_size`` its size.
 * ``metrics.jsonl`` — training only, one JSON line per epoch (volatile: it
   carries ``wall_ms``).
 * ``policy.ckpt``, ``policy_best.ckpt`` — training only; deterministic, so
   ``rerun`` compares them (the best-eval checkpoint when the run wrote one).
+
+Every reported ``best_cost``, references included, is re-verified by a
+float64 objective of its ``sigma``; a mismatch aborts the run (exit 4).  A
+run that cannot start, or aborts before its first write, leaves no run
+directory behind.
 
 Exit codes: 0 success, 2 usage error, 3 data/validation error, 4 numerical
 abort.
@@ -86,7 +92,11 @@ def _fmt(value) -> str:
 
 
 def _check_run_dir(out: str | None) -> Path:
-    """The run directory ``--out`` names, refused if it holds a run; not made yet."""
+    """The run directory ``--out`` names, refused if it holds a run.
+
+    Every command calls this first and makes the directory only right before
+    its first write.
+    """
     if not out:
         raise ValidationError("this command writes files; pass --out RUN_DIR")
     run_dir = Path(out)
@@ -95,12 +105,6 @@ def _check_run_dir(out: str | None) -> Path:
             f"{run_dir} already contains a manifest.json; every run directory "
             "holds exactly one run — pick a fresh --out"
         )
-    return run_dir
-
-
-def _prepare_run_dir(out: str | None) -> Path:
-    run_dir = _check_run_dir(out)
-    run_dir.mkdir(parents=True, exist_ok=True)
     return run_dir
 
 
@@ -187,13 +191,15 @@ def _collect_instance_paths(specs: list[str]) -> list[Path]:
 
 
 def cmd_generate(args) -> int:
+    run_dir = _check_run_dir(args.out)
     if args.count < 0:
         raise ValidationError(f"--count must be >= 0, got {args.count}")
     started = _utc_now()
-    run_dir = _prepare_run_dir(args.out)
     files = []
     for k in range(args.count):
+        # generate_instance checks --n and --p before the first file is written.
         inst = generate_instance(args.n, p=args.p, seed=args.seed + k)
+        run_dir.mkdir(parents=True, exist_ok=True)
         fname = f"{inst.name}.json"
         (run_dir / fname).write_text(instance_to_json(inst))
         files.append(fname)
@@ -205,6 +211,7 @@ def cmd_generate(args) -> int:
         "seed": args.seed,
         "files": files,
     }
+    run_dir.mkdir(parents=True, exist_ok=True)  # --count 0 writes the index only
     (run_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
     config = {k: getattr(args, k) for k in ("n", "count", "p", "seed")}
     _write_manifest(
@@ -220,37 +227,28 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tabu_one(inst: QapInstance, steps: int, record_trajectory: bool):
-    if not record_trajectory:
-        return tabu_search(inst, max_steps=steps), None
-    sol, history = tabu_search(inst, max_steps=steps, return_history=True)
-    stride = max(1, len(history) // 100)
-    return sol, [float(h) for h in history[::stride]]
-
-
 # Every solver in SOLVERS but ``sawt`` searches one instance at a time:
-# ``(instance, steps, record_trajectory) -> (best assignment, trajectory or None)``.
+# ``(instance, steps) -> (best assignment, best-cost history or None)``.
 # Each is deterministic: tabu starts from the identity and draws no random numbers.
 _PER_INSTANCE = {
-    "brute": lambda inst, steps, record: (brute_force(inst), None),
-    "greedy": lambda inst, steps, record: (greedy_descent(inst, max_steps=steps), None),
-    "tabu": _tabu_one,
-    "sm": lambda inst, steps, record: (spectral_matching(inst).assignment, None),
+    "brute": lambda inst, steps: (brute_force(inst), None),
+    "greedy": lambda inst, steps: (greedy_descent(inst, max_steps=steps), None),
+    "tabu": lambda inst, steps: tabu_search(inst, max_steps=steps),
+    "sm": lambda inst, steps: (spectral_matching(inst).assignment, None),
 }
 
 
 def _run_solver(name: str, instances: list[QapInstance], steps: int, *, seed: int = 0,
-                checkpoint: str | None = None, record_trajectory: bool = False,
-                fp64_check: bool = False) -> list[dict]:
+                checkpoint: str | None = None) -> list[dict]:
     """Run solver ``name`` over ``instances``; one result part per instance, in order.
 
     A part holds ``best_cost``, ``sigma`` and ``wall_ms``, plus ``trajectory``
-    (tabu with ``record_trajectory``) or ``batch_size`` (sawt).  ``sawt`` is one
-    :func:`evaluate` call seeded with ``seed`` that searches same-size instances
-    in batches, so each part reports the measured time and size of its batch.
-    The other solvers run one instance at a time, in order.
-    ``fp64_check`` re-verifies every best cost with a float64 objective
-    recomputation and raises :class:`NumericalAbortError` on a mismatch.
+    (tabu: its best-cost history, at most about 100 points) or ``batch_size``
+    (sawt).  ``sawt`` is one :func:`evaluate` call seeded with ``seed`` that
+    searches same-size instances in batches, so each part reports the
+    measured time and size of its batch.  The other solvers run one instance
+    at a time, in order.  Every best cost is then re-verified by a float64
+    objective of its sigma; a mismatch raises :class:`NumericalAbortError`.
     """
     if steps < 0:
         raise ValidationError(f"--steps must be >= 0, got {steps}")
@@ -271,28 +269,28 @@ def _run_solver(name: str, instances: list[QapInstance], steps: int, *, seed: in
         parts = []
         for inst in instances:
             t0 = time.perf_counter()
-            sol, trajectory = solve_one(inst, steps, record_trajectory)
+            sol, history = solve_one(inst, steps)
             part = {
                 "best_cost": float(sol.cost),
                 "sigma": sol.sigma.tolist(),
                 "wall_ms": int((time.perf_counter() - t0) * 1000),
             }
-            if trajectory is not None:
-                part["trajectory"] = trajectory
+            if history is not None:
+                stride = max(1, len(history) // 100)
+                part["trajectory"] = [float(h) for h in history[::stride]]
             parts.append(part)
 
-    if fp64_check:
-        for inst, part in zip(instances, parts):
-            check = objective(inst, np.asarray(part["sigma"]))
-            if not np.isclose(check, part["best_cost"], rtol=1e-9, atol=1e-9):
-                raise NumericalAbortError(
-                    "fp64 re-verification of best_cost failed",
-                    diagnostics={
-                        "instance": inst.name,
-                        "reported": part["best_cost"],
-                        "recomputed": float(check),
-                    },
-                )
+    for inst, part in zip(instances, parts):
+        check = objective(inst, np.asarray(part["sigma"]))
+        if not np.isclose(check, part["best_cost"], rtol=1e-9, atol=1e-9):
+            raise NumericalAbortError(
+                "fp64 re-verification of best_cost failed",
+                diagnostics={
+                    "instance": inst.name,
+                    "reported": part["best_cost"],
+                    "recomputed": float(check),
+                },
+            )
     return parts
 
 
@@ -345,11 +343,11 @@ def _write_results(run_dir: Path, solver: str, steps: int, seed: int, names: lis
                    missing_flag: str, zero_flag: str) -> list[dict]:
     """Write one row per instance to results.csv and results.jsonl; return the csv rows.
 
-    Row k reports ``parts[k]`` for instance ``names[k]`` against ``refs[k]``: a
-    row has a gap only when its reference is known and non-zero, otherwise its
-    ``flag`` reads ``missing_flag`` or ``zero_flag``.  Every row reports the
-    master ``seed``.  results.jsonl adds each part's volatile fields
-    (``wall_ms``, ``sigma``, ...).
+    Makes ``run_dir``.  Row k reports ``parts[k]`` for instance ``names[k]``
+    against ``refs[k]``: a row has a gap only when its reference is known and
+    non-zero, otherwise its ``flag`` reads ``missing_flag`` or ``zero_flag``.
+    Every row reports the master ``seed``.  results.jsonl adds each part's
+    volatile fields (``wall_ms``, ``sigma``, ...).
     """
     rows: list[dict] = []
     for name, part, ref in zip(names, parts, refs):
@@ -373,6 +371,7 @@ def _write_results(run_dir: Path, solver: str, steps: int, seed: int, names: lis
         }
         rows.append(row)
 
+    run_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_RESULT_COLUMNS)
@@ -386,27 +385,19 @@ def _write_results(run_dir: Path, solver: str, steps: int, seed: int, names: lis
 
 
 def cmd_solve(args) -> int:
+    run_dir = _check_run_dir(args.out)
     started = _utc_now()
-    # Each solver-specific flag is read by one solver only; any other rejects it.
     if args.solver == "sawt" and not args.checkpoint:
         raise ValidationError("--checkpoint is required for solver 'sawt'")
     if args.checkpoint and args.solver != "sawt":
         raise ValidationError(f"--checkpoint is read only by solver 'sawt', not {args.solver!r}")
-    if args.record_trajectory and args.solver != "tabu":
-        raise ValidationError(
-            f"--record-trajectory is read only by solver 'tabu', not {args.solver!r}"
-        )
     paths = _collect_instance_paths(args.instances)
     instances = [_load_instance_file(p) for p in paths]
     table = None
     if args.reference not in _REFERENCE_MODES:
         table = _read_reference_table(args.reference)
-    run_dir = _prepare_run_dir(args.out)
-    parts = _run_solver(
-        args.solver, instances, args.steps, seed=args.seed,
-        checkpoint=args.checkpoint, record_trajectory=args.record_trajectory,
-        fp64_check=args.fp64_check,
-    )
+    parts = _run_solver(args.solver, instances, args.steps, seed=args.seed,
+                        checkpoint=args.checkpoint)
     if table is None:
         refs = _reference_costs(instances, args.reference, args.solver, args.steps, parts)
     else:
@@ -421,8 +412,6 @@ def cmd_solve(args) -> int:
         "reference": args.reference,
         "instances": [str(p) for p in paths],
         "checkpoint": args.checkpoint,
-        "fp64_check": args.fp64_check,
-        "record_trajectory": args.record_trajectory,
     }
     _write_manifest(
         run_dir, args, "solve", config, started,
@@ -487,9 +476,9 @@ def _resolve_train_config(args) -> tuple[TrainConfig, SawtConfig, dict]:
 
 
 def cmd_train(args) -> int:
+    run_dir = _check_run_dir(args.out)
     started = _utc_now()
     train_cfg, model_cfg, data = _resolve_train_config(args)
-    run_dir = _check_run_dir(args.out)
     # Every input is built before the run directory is made, so a run that
     # cannot start leaves no directory behind.
     if args.data:
@@ -582,16 +571,15 @@ def cmd_qaplib_fetch(args) -> int:
 
 
 def cmd_qaplib_bench(args) -> int:
+    run_dir = _check_run_dir(args.out)
     started = _utc_now()
     names = []
     for part in args.names:
         names.extend(x for x in part.replace(",", " ").split() if x)
     if not names:
         raise ValidationError("qaplib bench needs at least one instance name")
-    run_dir = _prepare_run_dir(args.out)
     entries = [qaplib.load_entry(name, data_dir=args.data_dir) for name in names]
-    parts = _run_solver(args.solver, [e.instance for e in entries], args.steps,
-                        fp64_check=args.fp64_check)
+    parts = _run_solver(args.solver, [e.instance for e in entries], args.steps)
     rows = _write_results(run_dir, args.solver, args.steps, args.seed,
                           [e.name for e in entries], parts,
                           [e.upper_bound for e in entries],
@@ -614,7 +602,7 @@ def cmd_qaplib_bench(args) -> int:
     (run_dir / "categories.csv").write_text(buf.getvalue())
 
     config = {"names": names, "solver": args.solver, "steps": args.steps,
-              "data_dir": args.data_dir, "fp64_check": args.fp64_check}
+              "data_dir": args.data_dir}
     _write_manifest(
         run_dir, args, "qaplib bench", config, started,
         deterministic=["results.csv", "categories.csv"], volatile=["results.jsonl"],
@@ -723,14 +711,6 @@ def _ignored_threads_flag(sub: argparse.ArgumentParser) -> None:
                           "is kept only so existing command lines still parse")
 
 
-def _solve_flags(sub: argparse.ArgumentParser) -> None:
-    _run_flags(sub)
-    _ignored_threads_flag(sub)
-    sub.add_argument("--fp64-check", action="store_true",
-                     help="re-verify every reported cost with a float64 "
-                          "objective recomputation (exit 4 on mismatch)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sawt-qap",
@@ -757,7 +737,9 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="run a solver over instance files",
         description="Solve instances (.json from `generate` or QAPLIB .dat). "
                     "Writes results.csv (deterministic) and results.jsonl "
-                    "(adds wall_ms/sigma/trajectory, and batch_size for sawt).",
+                    "(adds wall_ms and sigma, the best-cost trajectory for "
+                    "tabu, and batch_size for sawt). Every best cost is "
+                    "re-verified in float64 (exit 4 on mismatch).",
     )
     p.add_argument("--instances", nargs="+", required=True,
                    help="instance files and/or directories")
@@ -772,10 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "deterministic 5000-step tabu run from the identity), "
                         "brute, tabu, none, or a JSON file of name->cost "
                         "(default: auto)" % BRUTE_FORCE_MAX_N)
-    p.add_argument("--record-trajectory", action="store_true",
-                   help="store a downsampled best-cost trajectory per instance "
-                        "in results.jsonl (tabu only)")
-    _solve_flags(p)
+    _run_flags(p)
+    _ignored_threads_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser(
@@ -832,7 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "embedded best-known values. Zero-bound instances are "
                     "flagged and excluded from gap aggregates (their absolute "
                     "cost still appears in best_cost). Writes results.csv, "
-                    "categories.csv, results.jsonl.",
+                    "categories.csv, results.jsonl; every best cost is "
+                    "re-verified in float64 (exit 4 on mismatch).",
     )
     pb.add_argument("names", nargs="+", help="instance names (comma or space separated)")
     pb.add_argument("--solver", choices=[s for s in SOLVERS if s != "sawt"],
@@ -840,7 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--steps", type=int, default=5000,
                     help="search budget (default: 5000)")
     pb.add_argument("--data-dir", type=str, default=None, help="QAPLIB cache directory")
-    _solve_flags(pb)
+    _run_flags(pb)
+    _ignored_threads_flag(pb)
     pb.set_defaults(func=cmd_qaplib_bench)
 
     p = subs.add_parser(

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import nn
 from ._kernels import objective as _objective_kernel
-from .core import QapInstance, check_field_types
+from .core import QapInstance, check_field_types, make_rng
 from .errors import CheckpointError, ValidationError
 from .nn import Tensor
 
@@ -103,11 +103,6 @@ class SawtConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "SawtConfig":
-        # Checkpoints written before ``flow_mix`` was removed still carry it.
-        return SawtConfig(**{k: v for k, v in d.items() if k != "flow_mix"})
-
 
 @dataclass
 class InstanceBatch:
@@ -169,7 +164,7 @@ class SawtPolicy:
         self.config = config or SawtConfig()
         self._np_dtype = np.float32 if self.config.dtype == "float32" else np.float64
         self.params: dict[str, Tensor] = {}
-        self._init_params(np.random.default_rng(seed))
+        self._init_params(make_rng(seed))
 
     # -- parameter construction -------------------------------------------------
     def _add_linear(self, rng, name: str, fan_in: int, fan_out: int, bias: bool = True):
@@ -459,7 +454,13 @@ def load_policy(path, optimizer_factory=None):
     arrays, header = nn.load_checkpoint(path)
     if header.get("kind") != "sawt-policy":
         raise CheckpointError(f"not a policy checkpoint: kind={header.get('kind')!r}")
-    config = SawtConfig.from_dict(header["config"])
+    config = header.get("config")
+    if not isinstance(config, dict):
+        raise CheckpointError(f"policy checkpoint has no config object: config={config!r}")
+    try:
+        config = SawtConfig(**config)
+    except (TypeError, ValidationError) as err:
+        raise CheckpointError(f"policy checkpoint config rejected: {err}") from None
     policy = SawtPolicy(config, seed=0)
     policy.load_state_arrays(arrays)
     optimizer = None

@@ -98,8 +98,7 @@ def tabu_search(
     inst: QapInstance,
     start: Assignment | None = None,
     max_steps: int = 5000,
-    return_history: bool = False,
-):
+) -> tuple[Assignment, np.ndarray]:
     """Tabu search over the 2-swap neighborhood; returns the best found.
 
     Every step applies the best admissible swap — admissible meaning the
@@ -115,10 +114,10 @@ def tabu_search(
         start: Starting assignment (identity when omitted).
         max_steps: Number of moves to apply (int >= 0; every step applies
             one swap).
-        return_history: Also return the best-so-far cost after each step.
 
     Returns:
-        The best :class:`Assignment` seen, or ``(assignment, history)``.
+        ``(best, history)``: the best :class:`Assignment` seen and the
+        best-so-far cost after each step, shape ``(max_steps,)``.
     """
     check_type("max_steps", max_steps, "int")
     if max_steps < 0:
@@ -131,9 +130,7 @@ def tabu_search(
     best = Assignment(best_sigma, best_cost)
     if start.cost <= best_cost:  # max_steps == 0 or the start was never beaten
         best = start.copy()
-    if return_history:
-        return best, np.asarray(history)
-    return best
+    return best, history
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,10 @@ def test_generate_refuses_existing_manifest(tmp_path, capsys):
         ["describe", "--fp64-check"],
         ["describe", "--seed", "5"],
         ["describe", "--out", "x"],
+        # Removed flags: the float64 re-check and tabu trajectories are unconditional.
+        ["solve", "--instances", "x", "--solver", "tabu", "--fp64-check"],
+        ["solve", "--instances", "x", "--solver", "tabu", "--record-trajectory"],
+        ["qaplib", "bench", "had12", "--fp64-check"],
     ],
 )
 def test_unread_flags_are_rejected(argv):
@@ -115,6 +119,36 @@ def test_generate_bad_args_exit_codes(tmp_path):
     # domain validation error: bad p
     assert main(["generate", "--n", "4", "--count", "1", "--p", "1.5",
                  "--out", str(tmp_path / "y")]) == 3
+
+
+@pytest.mark.parametrize("case", [
+    "generate --n 1",
+    "generate --p 1.5",
+    "solve --steps -1",
+    "solve sawt, missing checkpoint",
+    "solve brute, n=12",
+    "qaplib bench, not found",
+    "qaplib bench --steps -1",
+])
+def test_run_that_cannot_start_leaves_no_run_dir(gen_dir, tmp_path, case):
+    # Each command checks every input and runs its search before it makes
+    # the run directory.
+    solve = ["solve", "--instances", str(gen_dir), "--reference", "none"]
+    argv = {
+        "generate --n 1": ["generate", "--n", "1"],
+        "generate --p 1.5": ["generate", "--n", "4", "--p", "1.5"],
+        "solve --steps -1": [*solve, "--solver", "tabu", "--steps", "-1"],
+        "solve sawt, missing checkpoint": [*solve, "--solver", "sawt", "--checkpoint",
+                                           str(tmp_path / "missing.ckpt")],
+        "solve brute, n=12": ["solve", "--instances", str(fixture_dir() / "had12.dat"),
+                              "--solver", "brute", "--reference", "none"],
+        "qaplib bench, not found": ["qaplib", "bench", "nug12", "--data-dir",
+                                    str(tmp_path / "empty-cache")],
+        "qaplib bench --steps -1": ["qaplib", "bench", "had12", "--steps", "-1"],
+    }[case]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +190,7 @@ def test_solve_tabu_rows_report_master_seed(gen_dir, tmp_path):
 def test_solve_brute_and_fp64_check(gen_dir, tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--instances", str(gen_dir), "--solver", "brute",
-                 "--fp64-check", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     rows = read_csv(out / "results.csv")
     for row in rows:
         assert float(row["gap"]) == 0.0  # brute equals its own reference
@@ -188,16 +222,18 @@ def test_solve_reuses_its_run_as_reference(gen_dir, tmp_path, monkeypatch,
 
 
 def test_fp64_check_aborts_on_mismatch(gen_dir, tmp_path, monkeypatch, capsys):
+    # Every run re-verifies its best costs; a failed check leaves no run directory.
     from sawt_qap import cli
 
-    assert main(["qaplib", "bench", "had12", "--steps", "200", "--fp64-check",
+    assert main(["qaplib", "bench", "had12", "--steps", "200",
                  "--out", str(tmp_path / "ok")]) == 0
     monkeypatch.setattr(cli, "objective", lambda inst, sigma: objective(inst, sigma) + 1.0)
-    assert main(["qaplib", "bench", "had12", "--steps", "200", "--fp64-check",
+    assert main(["qaplib", "bench", "had12", "--steps", "200",
                  "--out", str(tmp_path / "bench")]) == 4
-    assert main(["solve", "--instances", str(gen_dir), "--solver", "greedy", "--fp64-check",
+    assert main(["solve", "--instances", str(gen_dir), "--solver", "greedy",
                  "--reference", "none", "--out", str(tmp_path / "solve")]) == 4
     assert "fp64 re-verification" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists() and not (tmp_path / "solve").exists()
 
 
 def test_solve_threads_do_not_change_output(gen_dir, tmp_path):
@@ -244,15 +280,21 @@ def test_solve_reference_modes(gen_dir, tmp_path):
 
 
 def test_solve_record_trajectory(gen_dir, tmp_path):
+    # Every tabu row, of solve and of qaplib bench, carries its trajectory.
     out = tmp_path / "run"
     assert main(["solve", "--instances", str(gen_dir), "--solver", "tabu",
-                 "--steps", "200", "--record-trajectory", "--reference", "none",
-                 "--out", str(out)]) == 0
-    jrows = read_jsonl(out / "results.jsonl")
+                 "--steps", "200", "--reference", "none", "--out", str(out)]) == 0
+    bench = tmp_path / "bench"
+    assert main(["qaplib", "bench", "had12", "--solver", "tabu", "--steps", "300",
+                 "--out", str(bench)]) == 0
+    jrows = read_jsonl(out / "results.jsonl") + read_jsonl(bench / "results.jsonl")
+    assert len(jrows) == 5
     for row in jrows:
-        assert len(row["trajectory"]) >= 2
-        # Trajectory tracks best-so-far: monotone nonincreasing.
+        # 200 and 300 steps downsample at strides 2 and 3 to 100 points.
+        assert len(row["trajectory"]) == 100
+        # Trajectory tracks best-so-far: monotone nonincreasing, down to best_cost.
         assert all(a >= b for a, b in zip(row["trajectory"], row["trajectory"][1:]))
+        assert row["trajectory"][-1] >= row["best_cost"]
 
 
 def test_solve_dat_input(tmp_path):
@@ -315,18 +357,18 @@ def test_solve_missing_inputs_and_checkpoint(gen_dir, tmp_path, capsys):
 @pytest.mark.parametrize(
     "solver, flags, named",
     [
-        ("sm", ["--record-trajectory"], "--record-trajectory"),
-        ("greedy", ["--record-trajectory"], "--record-trajectory"),
+        ("greedy", ["--checkpoint", "nonexistent.ckpt"], "--checkpoint"),
+        ("brute", ["--checkpoint", "nonexistent.ckpt"], "--checkpoint"),
         ("sm", ["--checkpoint", "nonexistent.ckpt"], "--checkpoint"),
         ("tabu", ["--checkpoint", "nonexistent.ckpt"], "--checkpoint"),
-        ("sawt", ["--checkpoint", "nonexistent.ckpt", "--record-trajectory"],
-         "--record-trajectory"),
+        ("sawt", [], "--checkpoint"),
     ],
 )
 def test_solve_rejects_flags_its_solver_ignores(gen_dir, tmp_path, capsys, solver, flags,
                                                  named):
-    # A solver-specific flag given to another solver is a validation error
-    # (exit 3), raised before the run directory is made.
+    # --checkpoint, read by solver sawt only and required there, given to
+    # another solver is a validation error (exit 3), raised before the run
+    # directory is made.
     out = tmp_path / "run"
     assert main(["solve", "--instances", str(gen_dir), "--solver", solver, *flags,
                  "--out", str(out)]) == 3
@@ -628,9 +670,7 @@ def test_qaplib_fetch_unreachable(tmp_path):
 def test_qaplib_bench_bundled(tmp_path):
     out = tmp_path / "bench"
     assert main(["qaplib", "bench", "had12,esc16f", "--solver", "tabu",
-                 "--steps", "2000", "--seed", "2", "--fp64-check",
-                 "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["config"]["fp64_check"] is True
+                 "--steps", "2000", "--seed", "2", "--out", str(out)]) == 0
     rows = {r["instance"]: r for r in read_csv(out / "results.csv")}
     assert float(rows["had12"]["reference"]) == 1652 and rows["had12"]["gap"] != ""
     assert float(rows["had12"]["gap"]) >= 0.0
@@ -672,6 +712,20 @@ def test_describe_default_and_checkpoint(trained, tmp_path, capsys):
     cfg_path.write_text(json.dumps({"model": {"flow_mix": "product"}}))
     assert main(["describe", "--config", str(cfg_path)]) == 3
     assert "flow_mix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [None, [16, 2], {"future_knob": 1}],
+                         ids=["missing", "not-an-object", "unknown-key"])
+def test_describe_checkpoint_with_bad_config_exits_3(tmp_path, capsys, config):
+    from sawt_qap.nn import save_checkpoint
+
+    header = {"kind": "sawt-policy", "meta": {}, "adam_step": None}
+    if config is not None:
+        header["config"] = config
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, {}, header)
+    assert main(["describe", "--checkpoint", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: policy checkpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +818,7 @@ def test_malformed_json_inputs_exit_3(gen_dir, tmp_path, capsys, command, conten
     [
         (["generate"], ["--n", "--count", "--p", "--seed", "--out"]),
         (["solve"], ["--instances", "--solver", "--steps", "--checkpoint",
-                     "--reference", "--record-trajectory", "--fp64-check"]),
+                     "--reference"]),
         (["train"], ["--data", "--epochs", "--batch-size", "--episode-length",
                      "--lr", "--resume", "--config"]),
         (["qaplib", "fetch"], ["--data-dir", "--base-url"]),

@@ -470,22 +470,26 @@ def test_policy_checkpoint_wrong_kind(tmp_path):
         load_policy(path)
 
 
-def test_checkpoint_with_removed_flow_mix_loads(tmp_path):
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h["config"].update(future_knob=1), "future_knob"),
+    (lambda h: h["config"].update(flow_mix="product"), "flow_mix"),  # a removed field
+    (lambda h: h["config"].update(d_emb=15), "divisible"),
+    (lambda h: h.pop("config"), "no config"),
+    (lambda h: h.update(config=[16, 2]), "no config"),
+], ids=["unknown-key", "removed-key", "bad-value", "missing", "not-an-object"])
+def test_load_policy_rejects_bad_config(tmp_path, edit, message):
+    # Every header config load_policy cannot build a model from is a
+    # CheckpointError, never a TypeError or KeyError.
     from sawt_qap.nn import save_checkpoint
 
-    cfg = SawtConfig(d_emb=16, n_heads=2, n_layers=1, n_init=12)
-    policy = SawtPolicy(cfg, seed=5)
-    # The header config of a checkpoint saved while flow_mix was a field.
-    header = {"kind": "sawt-policy", "config": {**cfg.to_dict(), "flow_mix": "product"},
-              "meta": {}, "adam_step": None}
-    path = tmp_path / "old.ckpt"
+    policy = SawtPolicy(SawtConfig(d_emb=16, n_heads=2, n_layers=1, n_init=12), seed=5)
+    header = {"kind": "sawt-policy", "config": policy.config.to_dict(), "meta": {},
+              "adam_step": None}
+    edit(header)
+    path = tmp_path / "bad.ckpt"
     save_checkpoint(path, dict(policy.state_arrays()), header)
-    restored, _, _ = load_policy(path)
-    assert restored.config == cfg
-    for k in policy.params:
-        np.testing.assert_array_equal(
-            restored.params[k].data, policy.params[k].data.astype(np.float32)
-        )
+    with pytest.raises(CheckpointError, match=message):
+        load_policy(path)
 
 
 def test_restored_policy_same_actions(tmp_path, rng):

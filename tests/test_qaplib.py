@@ -178,10 +178,15 @@ class TestFixtures:
             assert objective(entry.instance, sigma) == 0.0
 
     def test_fixture_round_trip(self):
-        inst = ql.load_instance("had12")
-        again = ql.parse_qaplib(ql.format_qaplib(inst), name="had12")
-        assert np.array_equal(inst.flow, again.flow)
-        assert np.array_equal(inst.distance, again.distance)
+        # Every bundled file is in canonical form: formatting what it parses
+        # to gives back its exact bytes.
+        for name in ql.list_fixtures():
+            dat = ql.fixture_dir().joinpath(f"{name}.dat").read_bytes()
+            inst = ql.parse_qaplib(dat, name=name)
+            assert ql.format_qaplib(inst).encode() == dat, name
+            sln = ql.fixture_dir().joinpath(f"{name}.sln").read_bytes()
+            _, value, sigma = ql.parse_solution(sln, name=name)
+            assert ql.format_solution(value, sigma).encode() == sln, name
 
     def test_missing_instance(self):
         with pytest.raises(FileNotFoundError):

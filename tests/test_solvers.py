@@ -84,7 +84,7 @@ class TestTabu:
     def test_best_monotone_history(self, rng):
         inst = random_integer_instance(rng, 10)
         start = random_assignment(inst, rng)
-        best, hist = sv.tabu_search(inst, start, max_steps=300, return_history=True)
+        best, hist = sv.tabu_search(inst, start, max_steps=300)
         assert len(hist) == 300
         assert np.all(np.diff(hist) <= 0.0)
         assert best.cost == hist[-1] <= start.cost
@@ -92,14 +92,15 @@ class TestTabu:
     def test_zero_steps_returns_start(self, rng):
         inst = random_integer_instance(rng, 8)
         start = random_assignment(inst, rng)
-        out = sv.tabu_search(inst, start, max_steps=0)
+        out, hist = sv.tabu_search(inst, start, max_steps=0)
         assert np.array_equal(out.sigma, start.sigma)
+        assert len(hist) == 0
 
     def test_deterministic(self, rng):
         inst = random_integer_instance(rng, 9)
         start = random_assignment(inst, rng)
-        a = sv.tabu_search(inst, start, max_steps=250)
-        b = sv.tabu_search(inst, start, max_steps=250)
+        a, _ = sv.tabu_search(inst, start, max_steps=250)
+        b, _ = sv.tabu_search(inst, start, max_steps=250)
         assert np.array_equal(a.sigma, b.sigma) and a.cost == b.cost
 
     def test_escapes_local_optimum(self, rng):
@@ -109,7 +110,7 @@ class TestTabu:
             inst = random_integer_instance(rng, 10)
             start = random_assignment(inst, rng)
             g = sv.greedy_descent(inst, start)
-            t = sv.tabu_search(inst, start, max_steps=400)
+            t, _ = sv.tabu_search(inst, start, max_steps=400)
             assert t.cost <= g.cost + 1e-9
             wins += t.cost < g.cost
         assert wins >= 3  # it should actually escape sometimes
@@ -119,13 +120,13 @@ class TestTabu:
         for _ in range(10):
             inst = random_integer_instance(rng, 7)
             opt = sv.brute_force(inst)
-            t = sv.tabu_search(inst, random_assignment(inst, rng), max_steps=500)
+            t, _ = sv.tabu_search(inst, random_assignment(inst, rng), max_steps=500)
             hits += t.cost == opt.cost
         assert hits >= 8
 
     def test_cost_cache_consistent(self, rng):
         inst = random_asymmetric_instance(rng, 9)
-        out = sv.tabu_search(inst, max_steps=200)
+        out, _ = sv.tabu_search(inst, max_steps=200)
         assert out.cost == pytest.approx(sq.objective(inst, out.sigma), rel=1e-9)
 
     def test_config_validation(self, rng):
@@ -148,7 +149,7 @@ class TestTabu:
         # to the best permutation can score a last-bit "improvement"; it must
         # not aspirate (that detour ended at 2.7864, a 13.69 % gap).
         inst = sq.generate_instance(8, seed=22)
-        out = sv.tabu_search(inst, max_steps=2000)  # default tenure 7
+        out, _ = sv.tabu_search(inst, max_steps=2000)  # default tenure 7
         assert out.cost == pytest.approx(2.4589054564116504, rel=1e-12)
 
 
