@@ -92,7 +92,7 @@ def _fmt(value) -> str:
 
 
 def _check_run_dir(out: str | None) -> Path:
-    """The run directory ``--out`` names, refused if it holds a run.
+    """The run directory ``--out`` names, refused if it is not a directory or holds a run.
 
     Every command calls this first and makes the directory only right before
     its first write.
@@ -100,6 +100,8 @@ def _check_run_dir(out: str | None) -> Path:
     if not out:
         raise ValidationError("this command writes files; pass --out RUN_DIR")
     run_dir = Path(out)
+    if run_dir.exists() and not run_dir.is_dir():
+        raise ValidationError(f"--out {run_dir} exists and is not a directory")
     if (run_dir / "manifest.json").exists():
         raise ValidationError(
             f"{run_dir} already contains a manifest.json; every run directory "
@@ -192,12 +194,12 @@ def _collect_instance_paths(specs: list[str]) -> list[Path]:
 
 def cmd_generate(args) -> int:
     run_dir = _check_run_dir(args.out)
-    if args.count < 0:
-        raise ValidationError(f"--count must be >= 0, got {args.count}")
+    if args.count < 1:
+        raise ValidationError(f"--count must be >= 1, got {args.count}")
     started = _utc_now()
     files = []
     for k in range(args.count):
-        # generate_instance checks --n and --p before the first file is written.
+        # generate_instance checks --n and --p before the first write.
         inst = generate_instance(args.n, p=args.p, seed=args.seed + k)
         run_dir.mkdir(parents=True, exist_ok=True)
         fname = f"{inst.name}.json"
@@ -211,7 +213,6 @@ def cmd_generate(args) -> int:
         "seed": args.seed,
         "files": files,
     }
-    run_dir.mkdir(parents=True, exist_ok=True)  # --count 0 writes the index only
     (run_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
     config = {k: getattr(args, k) for k in ("n", "count", "p", "seed")}
     _write_manifest(
@@ -460,6 +461,9 @@ def _resolve_train_config(args) -> tuple[TrainConfig, SawtConfig, dict]:
     if unknown:
         raise ValidationError(f"unknown data config keys: {sorted(unknown)} "
                               f"(expected {sorted(_DATA_DEFAULTS)})")
+    if getattr(args, "data", None) and (getattr(args, "count", None) is not None
+                                        or "count" in file_cfg.get("data", {})):
+        raise ValidationError("--data trains on its own files; drop --count / data.count")
     data = {**_DATA_DEFAULTS, **file_cfg.get("data", {})}
     for key in _DATA_DEFAULTS:
         value = getattr(args, key, None)
@@ -649,21 +653,8 @@ def cmd_rerun(args) -> int:
         if not isinstance(value, list) or not all(isinstance(tok, str) for tok in value):
             raise ValidationError(f"{manifest_path}: {key} must be a list of strings")
 
-    new_argv = []
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
-        if tok == "--out":
-            skip = True
-            continue
-        if tok.startswith("--out="):
-            continue
-        new_argv.append(tok)
-    new_argv += ["--out", str(args.out)]
-
-    code = main(new_argv)
+    # argparse keeps the last --out, so the recorded one needs no stripping.
+    code = main([*argv, "--out", str(args.out)])
     if code != 0:
         print(f"rerun failed with exit code {code}", file=sys.stderr)
         return code
@@ -727,7 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "per instance plus index.json and manifest.json.",
     )
     p.add_argument("--n", type=int, required=True, help="instance size")
-    p.add_argument("--count", type=int, default=1, help="number of instances (default: 1)")
+    p.add_argument("--count", type=int, default=1,
+                   help="number of instances, at least 1 (default: 1)")
     p.add_argument("--p", type=float, default=0.7,
                    help="flow sparsification probability (default: 0.7)")
     _run_flags(p)
@@ -771,7 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "generated per the data config)")
     p.add_argument("--n", type=int, default=None,
                    help="generated instance size (with --data: of the eval set only)")
-    p.add_argument("--count", type=int, default=None, help="generated training instances")
+    p.add_argument("--count", type=int, default=None,
+                   help="generated training instances (not with --data)")
     p.add_argument("--p", type=float, default=None,
                    help="generated flow sparsity (with --data: of the eval set only)")
     p.add_argument("--eval-count", dest="eval_count", type=int, default=None,

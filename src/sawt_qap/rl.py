@@ -5,7 +5,8 @@ best-so-far assignment); an action is a facility pair to swap.  Swaps are
 accepted unconditionally — exploration is the policy's job — and the reward
 is the clipped one-step improvement of the incumbent,
 ``max(0, best_cost - new_cost)``, so episode return telescopes to the total
-improvement of the best-so-far cost.
+improvement of the best-so-far cost.  Every episode, in training and in
+evaluation alike, starts at the identity assignment as its own incumbent.
 
 Updates are n-step REINFORCE (Williams 1992) with a learned baseline:
 returns are truncated discounted sums over a sliding window with no bootstrap
@@ -16,7 +17,8 @@ batch of episodes.
 
 Because nothing is bootstrapped, step t's loss term is fixed once reward
 t + w - 1 is known (w = ``return_window``).  :func:`reinforce_update`
-therefore streams: it rolls out and back-propagates in one loop, freeing each
+therefore streams: it accumulates each step's return as the rewards arrive,
+and rolls out and back-propagates in one loop, freeing each
 step's graph as soon as its return is complete, so at most w + 1 step graphs
 are alive at once instead of the whole episode's.  :func:`evaluate` runs the
 same act/step loop with no graph and one encoder pass per step: a new
@@ -47,7 +49,6 @@ __all__ = [
     "EvalResult",
     "reset_state",
     "step_state",
-    "compute_returns",
     "reinforce_update",
     "evaluate",
     "train",
@@ -69,17 +70,13 @@ class SearchState:
         )
 
 
-def reset_state(batch: InstanceBatch, init: str = "identity", rng=None) -> SearchState:
-    """Fresh search state: identity or uniformly random starting assignments."""
+def reset_state(batch: InstanceBatch) -> SearchState:
+    """Fresh search state: every episode starts at the identity assignment.
+
+    The identity is its own incumbent; no random numbers are drawn.
+    """
     B, n = batch.size, batch.n
-    if init == "identity":
-        sigma = np.tile(np.arange(n, dtype=np.int64), (B, 1))
-    elif init == "random":
-        if rng is None:
-            raise ValidationError("init='random' requires an rng")
-        sigma = np.stack([rng.permutation(n).astype(np.int64) for _ in range(B)])
-    else:
-        raise ValidationError(f"init must be 'identity' or 'random', got {init!r}")
+    sigma = np.tile(np.arange(n, dtype=np.int64), (B, 1))
     cost = np.array([_objective(i.flow, i.distance, s) for i, s in zip(batch.instances, sigma)])
     return SearchState(sigma, cost, sigma.copy(), cost.copy())
 
@@ -105,29 +102,6 @@ def step_state(batch: InstanceBatch, state: SearchState, swaps: np.ndarray) -> t
     return new, rewards
 
 
-def compute_returns(rewards: np.ndarray, gamma: float, window: int) -> np.ndarray:
-    """Truncated discounted returns: ``G_t = sum_{k<window} gamma^k r_{t+k}``.
-
-    The window is clipped at episode end; nothing is bootstrapped past it.
-    """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.ndim != 2:
-        raise ValidationError(f"rewards must be (T, B), got shape {rewards.shape}")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
-    if window < 1:
-        raise ValidationError(f"window must be positive, got {window}")
-    T = rewards.shape[0]
-    returns = np.zeros_like(rewards)
-    for t in range(T - 1, -1, -1):
-        returns[t] = rewards[t]
-        if t + 1 < T:
-            returns[t] += gamma * returns[t + 1]
-        if t + window < T:
-            returns[t] -= gamma**window * rewards[t + window]
-    return returns
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters (defaults are desk-scale, minutes on a laptop).
@@ -142,8 +116,7 @@ class TrainConfig:
         entropy_decay: Per-epoch geometric decay of the entropy coefficient.
         value_coef: Weight of the critic's squared-error term.
         lr: Adam learning rate.
-        init: Episode start assignment, ``"identity"`` or ``"random"``.
-        seed: Master seed for shuffling, embeddings, starts, and sampling.
+        seed: Master seed for shuffling, embeddings, and sampling.
         eval_every: Evaluate on held-out instances every k epochs (0 = never).
         eval_steps: Swap budget per instance during evaluation.
     """
@@ -157,7 +130,6 @@ class TrainConfig:
     entropy_decay: float = 0.99
     value_coef: float = 0.5
     lr: float = 1e-3
-    init: str = "identity"
     seed: int = 0
     eval_every: int = 0
     eval_steps: int = 100
@@ -178,8 +150,6 @@ class TrainConfig:
             raise ValidationError(f"entropy_decay must lie in (0, 1], got {self.entropy_decay}")
         if self.entropy_beta < 0 or self.value_coef < 0 or self.lr <= 0:
             raise ValidationError("entropy_beta/value_coef must be >= 0 and lr > 0")
-        if self.init not in ("identity", "random"):
-            raise ValidationError(f"init must be 'identity' or 'random', got {self.init!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -240,7 +210,7 @@ def reinforce_update(
     fac_leaf = nn.Tensor(batch.fac_emb.data, requires_grad=True)
     loc_leaf = nn.Tensor(batch.loc_emb.data, requires_grad=True)
     leaf_batch = dataclasses.replace(batch, fac_emb=fac_leaf, loc_emb=loc_leaf)
-    state = reset_state(leaf_batch, init=config.init, rng=rng)
+    state = reset_state(leaf_batch)
     sums = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "return": 0.0, "reward": 0.0}
 
     def metrics_so_far() -> dict:

@@ -17,12 +17,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from sawt_qap import nn
+from sawt_qap._kernels import objective as kernel_objective
 from sawt_qap.core import Assignment, QapInstance, make_rng, objective
 from sawt_qap.errors import NumericalAbortError
 from sawt_qap.nn.tensor import Tensor, _make, _unbroadcast
 from sawt_qap.policy import InstanceBatch
 from sawt_qap.rl import (
-    EVAL_BATCH_SIZE, EvalResult, _batches, compute_returns, reset_state, step_state,
+    EVAL_BATCH_SIZE, EvalResult, SearchState, _batches, reset_state, step_state,
 )
 
 
@@ -157,6 +158,16 @@ def random_assignment(inst: QapInstance, rng) -> Assignment:
     """Uniformly random assignment drawn from ``rng`` (one ``permutation`` call)."""
     sigma = rng.permutation(inst.n).astype(np.int64)
     return Assignment(sigma, objective(inst, sigma))
+
+
+def random_start_state(batch: InstanceBatch, rng) -> SearchState:
+    """Search state at uniformly random assignments, one ``permutation`` call per row.
+
+    Each row is its own incumbent, as at the identity start of ``reset_state``.
+    """
+    sigma = np.stack([rng.permutation(batch.n).astype(np.int64) for _ in range(batch.size)])
+    cost = np.array([kernel_objective(i.flow, i.distance, s) for i, s in zip(batch.instances, sigma)])
+    return SearchState(sigma, cost, sigma.copy(), cost.copy())
 
 
 def random_asymmetric_instance(rng, n, scale=1.0, name=None) -> QapInstance:
@@ -381,12 +392,31 @@ def brute_force_loop(flow, distance, init_bound):
 # ---------------------------------------------------------------------------
 # Whole-graph reference for the streamed ``sawt_qap.rl.reinforce_update``:
 # same signature and return values, but all T step graphs are kept alive and
-# the episode loss is back-propagated once.
+# the episode loss is back-propagated once, with every return computed from
+# the finished episode's rewards by ``compute_returns``.
 # ---------------------------------------------------------------------------
 
 
+def compute_returns(rewards: np.ndarray, gamma: float, window: int) -> np.ndarray:
+    """Truncated discounted returns: ``G_t = sum_{k<window} gamma^k r_{t+k}``.
+
+    ``rewards`` is (T, B).  The window is clipped at episode end; nothing is
+    bootstrapped past it.
+    """
+    rewards = np.asarray(rewards, dtype=np.float64)
+    T = rewards.shape[0]
+    returns = np.zeros_like(rewards)
+    for t in range(T - 1, -1, -1):
+        returns[t] = rewards[t]
+        if t + 1 < T:
+            returns[t] += gamma * returns[t + 1]
+        if t + window < T:
+            returns[t] -= gamma**window * rewards[t + window]
+    return returns
+
+
 def whole_graph_update(policy, optimizer, batch, config, rng, epoch=0):
-    state = reset_state(batch, init=config.init, rng=rng)
+    state = reset_state(batch)
     outs, rewards = [], []
     for _ in range(config.episode_length):
         h_best = policy.encode(batch, state.best_sigma)

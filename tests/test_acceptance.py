@@ -15,7 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import div, fd_gradient, gradcheck, random_assignment, sqrt, stack, transpose
+from helpers import (
+    div, fd_gradient, gradcheck, random_assignment, random_start_state, sqrt, stack, transpose,
+)
 from sawt_qap import (
     all_swap_deltas,
     apply_swap,
@@ -300,7 +302,7 @@ def test_05_mdp_invariants():
     policy = SawtPolicy(cfg, seed=5)
     instances = [generate_instance(6, p=0.7, seed=500 + k) for k in range(100)]
     batch = policy.embed_instances(instances, rng)
-    state = reset_state(batch, init="random", rng=rng)
+    state = random_start_state(batch, rng)
     start_best = state.best_cost.copy()
 
     rewards = []
@@ -344,7 +346,7 @@ def test_06_bandit_learnability():
         total = 0.0
         for _ in range(draws):
             batch = policy.embed_instances([inst], rng)
-            state = reset_state(batch, init="identity")
+            state = reset_state(batch)
             for a1, a2 in ((i_star, j_star), (j_star, i_star)):
                 out = policy.act(policy.encode(batch, state.sigma),
                                  policy.encode(batch, state.best_sigma),

@@ -63,10 +63,11 @@ def test_generate_rerun_identical_bytes(tmp_path):
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
 
 
-def test_generate_count_zero_and_p_one(tmp_path):
+def test_generate_count_zero_and_p_one(tmp_path, capsys):
     out = tmp_path / "empty"
-    assert main(["generate", "--n", "4", "--count", "0", "--out", str(out)]) == 0
-    assert json.loads((out / "index.json").read_text())["files"] == []
+    assert main(["generate", "--n", "4", "--count", "0", "--out", str(out)]) == 3
+    assert "--count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
     out2 = tmp_path / "dense"
     assert main(["generate", "--n", "4", "--count", "1", "--p", "1.0",
@@ -123,6 +124,7 @@ def test_generate_bad_args_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("case", [
     "generate --n 1",
+    "generate --n 1 --count 0",
     "generate --p 1.5",
     "solve --steps -1",
     "solve sawt, missing checkpoint",
@@ -136,6 +138,7 @@ def test_run_that_cannot_start_leaves_no_run_dir(gen_dir, tmp_path, case):
     solve = ["solve", "--instances", str(gen_dir), "--reference", "none"]
     argv = {
         "generate --n 1": ["generate", "--n", "1"],
+        "generate --n 1 --count 0": ["generate", "--n", "1", "--count", "0"],
         "generate --p 1.5": ["generate", "--n", "4", "--p", "1.5"],
         "solve --steps -1": [*solve, "--solver", "tabu", "--steps", "-1"],
         "solve sawt, missing checkpoint": [*solve, "--solver", "sawt", "--checkpoint",
@@ -149,6 +152,22 @@ def test_run_that_cannot_start_leaves_no_run_dir(gen_dir, tmp_path, case):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "qaplib bench", "train"])
+def test_out_naming_a_regular_file_is_refused(gen_dir, tmp_path, capsys, command):
+    # Refused before any input is read or any search runs; the file is untouched.
+    out = tmp_path / "f2"
+    out.write_bytes(b"not a run directory\n")
+    argv = {
+        "generate": ["generate", "--n", "4"],
+        "solve": ["solve", "--instances", str(gen_dir), "--solver", "tabu", "--steps", "10"],
+        "qaplib bench": ["qaplib", "bench", "had12,chr12c", "--steps", "10"],
+        "train": ["train", "--n", "4", "--count", "2", "--epochs", "1", "--eval-count", "0"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert "is not a directory" in capsys.readouterr().err
+    assert out.read_bytes() == b"not a run directory\n"
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +596,20 @@ def test_train_best_checkpoint_exactly_when_eval_improved(tmp_path, flags):
         assert (out / "policy_best.ckpt").read_bytes() == (out / "policy.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("where", ["flag", "config file"])
+def test_train_data_rejects_count(gen_dir, tmp_path, capsys, where):
+    # --data trains on its files: a count would be ignored, so it is refused.
+    cfg_path = tmp_path / "config.json"
+    data = {"data": {"count": 999}} if where == "config file" else {}
+    cfg_path.write_text(json.dumps({**SMALL_MODEL, **data}))
+    flags = ["--count", "999"] if where == "flag" else []
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(gen_dir), "--epochs", "1", "--eval-count", "0",
+                 *flags, "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "--data" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_data_manifest_records_the_eval_set(gen_dir, tmp_path):
     # With --data, --n/--p/--eval-count still size a generated eval set.
     cfg_path = tmp_path / "config.json"
@@ -769,6 +802,21 @@ def test_rerun_generate(tmp_path):
                  "--out", str(out)]) == 0
     assert main(["rerun", str(out / "manifest.json"),
                  "--out", str(tmp_path / "gen2")]) == 0
+
+
+def test_rerun_replaces_out_spelled_with_equals(gen_dir, tmp_path, capsys):
+    # rerun appends the new --out to the recorded argv; argparse keeps the last one.
+    out = tmp_path / "orig"
+    argv = ["solve", "--instances", str(gen_dir), "--solver", "greedy",
+            "--steps", "50", "--reference", "none", f"--out={out}"]
+    assert main(argv) == 0
+    again = tmp_path / "again"
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(again)]) == 0
+    assert "bit-identically" in capsys.readouterr().out
+    replayed = json.loads((again / "manifest.json").read_text())["argv"]
+    assert replayed == [*argv, "--out", str(again)]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "results.csv",
+                                                      "results.jsonl"]
 
 
 def test_rerun_missing_manifest(tmp_path):
