@@ -10,8 +10,9 @@ Conventions shared by all kernels:
 * No symmetry is assumed anywhere: deltas use the general asymmetric update.
 
 All swap deltas come from one closed form (:func:`all_swap_deltas`) in
-``P = D[sigma][:, sigma]`` and ``C = F P^T + F^T P``.  :func:`tabu` keeps ``P``
-and ``C`` current across its steps, so a step costs O(n^2), not two matmuls.
+``P = D[sigma][:, sigma]`` and ``C = F P^T + F^T P``.  :func:`tabu` keeps ``C``
+and the pair sums of ``P`` current across its steps and writes each step into
+arrays allocated once per call, so a step costs O(n^2), not two matmuls.
 
 Exact search (:func:`brute_force`) is a depth-first branch and bound over
 blocks of partial assignments, seeded by a short tabu run and pruned with a
@@ -70,6 +71,11 @@ def _cross(flow, perm_d):
     return flow @ perm_d.T + flow.T @ perm_d
 
 
+def _swap_deltas(flow, flow_pairs, perm_d):
+    """The :func:`all_swap_deltas` table from ``G = _pair_sums(flow)`` and ``P``."""
+    return flow_pairs * _pair_sums(perm_d) - _pair_sums(_cross(flow, perm_d))
+
+
 def all_swap_deltas(flow, distance, sigma):
     """All-pairs swap deltas as a symmetric (n, n) matrix, in one closed form.
 
@@ -79,15 +85,13 @@ def all_swap_deltas(flow, distance, sigma):
     ``P``.  The ``C`` terms sum the asymmetric update over every ``k``; the
     product corrects its ``k in {i, j}`` terms.  Zero diagonal.
     """
-    perm_d = distance[np.ix_(sigma, sigma)]
-    return _pair_sums(flow) * _pair_sums(perm_d) - _pair_sums(_cross(flow, perm_d))
+    return _swap_deltas(flow, _pair_sums(flow), distance[np.ix_(sigma, sigma)])
 
 
-def _lex_best_pair(deltas):
+def _lex_best_pair(deltas, upper):
     """Index (i, j), i < j, of the smallest delta, lexicographic tie-break."""
     n = deltas.shape[0]
-    masked = np.where(np.triu(np.ones_like(deltas, dtype=bool), k=1), deltas, np.inf)
-    flat = int(np.argmin(masked))  # argmin returns the first minimum row-major
+    flat = int(np.argmin(np.where(upper, deltas, np.inf)))  # first minimum, row-major
     return flat // n, flat % n
 
 
@@ -95,10 +99,13 @@ def greedy(flow, distance, sigma, max_steps):
     """Best-improvement 2-swap descent (vectorized delta scans)."""
     sigma = sigma.copy()
     cost = objective(flow, distance, sigma)
+    flow_pairs = _pair_sums(flow)
+    n = sigma.shape[0]
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     steps = 0
     while steps < max_steps:
-        deltas = all_swap_deltas(flow, distance, sigma)
-        i, j = _lex_best_pair(deltas)
+        deltas = _swap_deltas(flow, flow_pairs, distance[np.ix_(sigma, sigma)])
+        i, j = _lex_best_pair(deltas, upper)
         if deltas[i, j] >= 0.0:
             break
         sigma[i], sigma[j] = sigma[j], sigma[i]
@@ -107,18 +114,28 @@ def greedy(flow, distance, sigma, max_steps):
     return sigma, cost, steps
 
 
+def _swap_lines(m, i, j, row):
+    """Swap columns i and j of ``m`` through the length-n scratch ``row``."""
+    row[:] = m[:, i]
+    m[:, i] = m[:, j]
+    m[:, j] = row
+
+
 def tabu(flow, distance, sigma, max_steps, tenure):
     """Tabu search step loop at O(n^2) per step.
 
     See :func:`sawt_qap.solvers.tabu_search` for the semantics.  Returns
     ``(best, best_cost, current, current_cost, history)``.
 
-    Deltas use the closed form of :func:`all_swap_deltas`, whose ``P`` and
-    ``C`` the loop keeps current (Taillard 1991): after swap (r, s) it swaps
-    rows and columns r and s of ``P`` and columns r and s of ``C``, then adds
-    ``(F[:, r] - F[:, s]) (P[:, r] - P[:, s])^T + (F[r] - F[s]) (P[r] -
-    P[s])^T`` to ``C`` (``P`` already swapped).  ``C`` is recomputed every
-    ``_REFRESH_STEPS`` steps so rounding cannot build up on float data.
+    Deltas use the closed form of :func:`all_swap_deltas` (Taillard 1991).
+    The loop carries ``C`` and ``H = _pair_sums(P)``, not ``P``: after swap
+    (r, s) it swaps rows and columns r and s of ``H`` and columns r and s of
+    ``C``, then adds ``(F[:, r] - F[:, s]) (P[:, r] - P[:, s])^T`` and ``(F[r]
+    - F[s]) (P[r] - P[s])^T`` to ``C``, reading the rows and columns of the
+    swapped ``P`` straight from ``distance``.  ``C`` is recomputed every
+    ``_REFRESH_STEPS`` steps so rounding cannot build up on float data.  The
+    n x n arrays of a step are allocated once per call and written in place,
+    with the same operations in the same order as :func:`all_swap_deltas`.
     """
     n = sigma.shape[0]
     current = sigma.copy()
@@ -129,18 +146,34 @@ def tabu(flow, distance, sigma, max_steps, tenure):
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     history = np.empty(max_steps, dtype=np.float64)
     flow_pairs = _pair_sums(flow)
-    perm_d = distance[np.ix_(current, current)]
+    perm_pairs = _pair_sums(distance[np.ix_(current, current)])
+    # Row r of a transposed copy is column r: contiguous, cheap to gather from.
+    flow_t = flow.T.copy()
+    distance_t = distance.T.copy()
+    deltas = np.empty((n, n))
+    work = np.empty((n, n))  # pair sums of C, then current_cost + deltas, then an outer product
+    masked = np.empty((n, n))  # C + C^T, then the deltas of the candidate moves
+    admissible = np.empty((n, n), dtype=bool)
+    free = np.empty((n, n), dtype=bool)
+    row = np.empty(n)
     for step in range(1, max_steps + 1):
         if (step - 1) % _REFRESH_STEPS == 0:
-            cross = _cross(flow, perm_d)
-        deltas = flow_pairs * _pair_sums(perm_d) - _pair_sums(cross)
+            cross = _cross(flow, distance[np.ix_(current, current)])
+        diag = cross.diagonal()
+        np.add(diag[:, None], diag, out=work)
+        np.add(cross, cross.T, out=masked)
+        np.subtract(work, masked, out=work)
+        np.multiply(flow_pairs, perm_pairs, out=deltas)
+        np.subtract(deltas, work, out=deltas)
         aspire = best_cost - _TIE_RTOL * abs(best_cost)
-        admissible = ((expiry < step) | (current_cost + deltas < aspire)) & upper
-        if admissible.any():
-            masked = np.where(admissible, deltas, np.inf)
-        else:
-            masked = np.where(upper, deltas, np.inf)
-        flat = int(np.argmin(masked))
+        np.add(current_cost, deltas, out=work)
+        np.less(work, aspire, out=admissible)
+        np.less(expiry, step, out=free)
+        np.logical_or(free, admissible, out=admissible)
+        np.logical_and(admissible, upper, out=admissible)
+        masked.fill(np.inf)
+        np.copyto(masked, deltas, where=admissible if admissible.any() else upper)
+        flat = int(masked.argmin())
         i, j = flat // n, flat % n
         delta = float(masked[i, j])
         current[i], current[j] = current[j], current[i]
@@ -150,12 +183,16 @@ def tabu(flow, distance, sigma, max_steps, tenure):
             best_cost = current_cost
             best = current.copy()
         history[step - 1] = best_cost
-        pair, back = [i, j], [j, i]
-        perm_d[pair] = perm_d[back]
-        perm_d[:, pair] = perm_d[:, back]
-        cross[:, pair] = cross[:, back]
-        cross += np.outer(flow[:, i] - flow[:, j], perm_d[:, i] - perm_d[:, j])
-        cross += np.outer(flow[i] - flow[j], perm_d[i] - perm_d[j])
+        _swap_lines(perm_pairs, i, j, row)
+        _swap_lines(perm_pairs.T, i, j, row)  # rows, through the transposed view
+        _swap_lines(cross, i, j, row)
+        si, sj = current[i], current[j]
+        np.multiply((flow_t[i] - flow_t[j])[:, None],
+                    distance_t[si][current] - distance_t[sj][current], out=work)
+        cross += work
+        np.multiply((flow[i] - flow[j])[:, None],
+                    distance[si][current] - distance[sj][current], out=work)
+        cross += work
     return best, best_cost, current, current_cost, history
 
 

@@ -654,7 +654,9 @@ def cmd_rerun(args) -> int:
             raise ValidationError(f"{manifest_path}: {key} must be a list of strings")
 
     # argparse keeps the last --out, so the recorded one needs no stripping.
-    code = main([*argv, "--out", str(args.out)])
+    # It goes before a recorded "--", after which every token is positional.
+    cut = argv.index("--") if "--" in argv else len(argv)
+    code = main([*argv[:cut], "--out", str(args.out), *argv[cut:]])
     if code != 0:
         print(f"rerun failed with exit code {code}", file=sys.stderr)
         return code

@@ -2,7 +2,9 @@
 
 The oracles here are deliberately written as plain Python double loops (no
 shared code with the package's kernels) so they can serve as independent
-references for the fast paths.
+references for the fast paths.  The exceptions are ``greedy_reference`` and
+``tabu_reference``: earlier vectorized kernels kept verbatim, which the
+current ones must match to the bit on float data as well.
 
 This module also holds the autodiff pieces only the tests need: the graph ops
 ``div``, ``sqrt``, ``transpose`` and ``stack``, which the package's policy and
@@ -17,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from sawt_qap import nn
+from sawt_qap._kernels import _REFRESH_STEPS, _TIE_RTOL, _cross, _pair_sums
 from sawt_qap._kernels import objective as kernel_objective
 from sawt_qap.core import Assignment, QapInstance, make_rng, objective
 from sawt_qap.errors import NumericalAbortError
@@ -387,6 +390,74 @@ def brute_force_loop(flow, distance, init_bound):
         k += 1
         cand[k] = 0
     return best_perm, best, leaves
+
+
+# ---------------------------------------------------------------------------
+# Earlier vectorized kernels, kept verbatim as bit-exact oracles for the
+# kernels that replaced them: the same IEEE operations in the same order, so
+# every output must match to the bit on float data too.
+# ---------------------------------------------------------------------------
+
+
+def greedy_reference(flow, distance, sigma, max_steps):
+    """``_kernels.greedy`` as it was when it rebuilt ``G`` and the mask each step."""
+    sigma = sigma.copy()
+    cost = kernel_objective(flow, distance, sigma)
+    steps = 0
+    while steps < max_steps:
+        perm_d = distance[np.ix_(sigma, sigma)]
+        deltas = _pair_sums(flow) * _pair_sums(perm_d) - _pair_sums(_cross(flow, perm_d))
+        n = deltas.shape[0]
+        masked = np.where(np.triu(np.ones_like(deltas, dtype=bool), k=1), deltas, np.inf)
+        flat = int(np.argmin(masked))  # argmin returns the first minimum row-major
+        i, j = flat // n, flat % n
+        if deltas[i, j] >= 0.0:
+            break
+        sigma[i], sigma[j] = sigma[j], sigma[i]
+        cost += float(deltas[i, j])
+        steps += 1
+    return sigma, cost, steps
+
+
+def tabu_reference(flow, distance, sigma, max_steps, tenure):
+    """``_kernels.tabu`` as it was when it carried ``P`` and allocated each step."""
+    n = sigma.shape[0]
+    current = sigma.copy()
+    current_cost = kernel_objective(flow, distance, current)
+    best = current.copy()
+    best_cost = current_cost
+    expiry = np.zeros((n, n), dtype=np.int64)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    history = np.empty(max_steps, dtype=np.float64)
+    flow_pairs = _pair_sums(flow)
+    perm_d = distance[np.ix_(current, current)]
+    for step in range(1, max_steps + 1):
+        if (step - 1) % _REFRESH_STEPS == 0:
+            cross = _cross(flow, perm_d)
+        deltas = flow_pairs * _pair_sums(perm_d) - _pair_sums(cross)
+        aspire = best_cost - _TIE_RTOL * abs(best_cost)
+        admissible = ((expiry < step) | (current_cost + deltas < aspire)) & upper
+        if admissible.any():
+            masked = np.where(admissible, deltas, np.inf)
+        else:
+            masked = np.where(upper, deltas, np.inf)
+        flat = int(np.argmin(masked))
+        i, j = flat // n, flat % n
+        delta = float(masked[i, j])
+        current[i], current[j] = current[j], current[i]
+        current_cost += delta
+        expiry[i, j] = step + tenure
+        if current_cost < best_cost:
+            best_cost = current_cost
+            best = current.copy()
+        history[step - 1] = best_cost
+        pair, back = [i, j], [j, i]
+        perm_d[pair] = perm_d[back]
+        perm_d[:, pair] = perm_d[:, back]
+        cross[:, pair] = cross[:, back]
+        cross += np.outer(flow[:, i] - flow[:, j], perm_d[:, i] - perm_d[:, j])
+        cross += np.outer(flow[i] - flow[j], perm_d[i] - perm_d[j])
+    return best, best_cost, current, current_cost, history
 
 
 # ---------------------------------------------------------------------------

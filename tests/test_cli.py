@@ -819,6 +819,19 @@ def test_rerun_replaces_out_spelled_with_equals(gen_dir, tmp_path, capsys):
                                                       "results.jsonl"]
 
 
+def test_rerun_of_argv_with_double_dash(tmp_path, capsys):
+    # After "--" every token is an instance name, so the new --out goes before it.
+    out = tmp_path / "r1"
+    argv = ["qaplib", "bench", "--steps", "10", "--out", str(out), "--", "had12"]
+    assert main(argv) == 0
+    again = tmp_path / "r2"
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(again)]) == 0
+    assert "bit-identically" in capsys.readouterr().out
+    assert (out / "results.csv").read_bytes() == (again / "results.csv").read_bytes()
+    replayed = json.loads((again / "manifest.json").read_text())["argv"]
+    assert replayed == [*argv[:-2], "--out", str(again), "--", "had12"]
+
+
 def test_rerun_missing_manifest(tmp_path):
     assert main(["rerun", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x")]) == 3

@@ -8,17 +8,20 @@ import pytest
 
 from sawt_qap import _kernels as K
 from sawt_qap.core import generate_instance
+from sawt_qap.qaplib import load_entry
 from sawt_qap.solvers import default_tenure
 from helpers import (
     all_swap_deltas_loop,
     brute_force_loop,
     exhaustive_best,
     greedy_loop,
+    greedy_reference,
     objective_loop,
     random_asymmetric_instance,
     random_integer_instance,
     swap_delta_loop,
     tabu_loop,
+    tabu_reference,
 )
 
 
@@ -69,6 +72,39 @@ class TestBackendAgreement:
                     args = (inst.flow, inst.distance, start, steps, tenure)
                     for got, want in zip(K.tabu(*args), tabu_loop(*args)):
                         assert np.array_equal(got, want), (n, symmetric, tenure)
+
+    def test_tabu_identical_to_reference_on_float_data(self, rng):
+        # The kernel carries H and writes in place, but every entry gets the
+        # same IEEE operations in the same order as the reference kernel that
+        # carried P, so all five outputs match to the bit on float data too.
+        steps = 3 * K._REFRESH_STEPS + 7
+        cases = [generate_instance(n, seed=900 + n) for n in (5, 9, 20, 50, 100)]
+        cases += [random_asymmetric_instance(rng, 13),
+                  random_integer_instance(rng, 15, high=2, symmetric=False)]
+        cases += [load_entry(name).instance for name in ("had12", "esc16f", "chr12c")]
+        for inst in cases:
+            n = inst.n
+            for start in (np.arange(n), rng.permutation(n).astype(np.int64)):
+                for tenure in (0, default_tenure(n)):
+                    args = (inst.flow, inst.distance, start, steps, tenure)
+                    got, want = K.tabu(*args), tabu_reference(*args)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want)), (
+                        inst.name, tenure)
+        # At n <= 4 a tenure of 7 leaves every move tabu, so the escape runs.
+        for n in (2, 3, 4):
+            inst = random_asymmetric_instance(rng, n)
+            args = (inst.flow, inst.distance, rng.permutation(n).astype(np.int64), steps, 7)
+            got, want = K.tabu(*args), tabu_reference(*args)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), n
+
+    def test_greedy_identical_to_reference_on_float_data(self, rng):
+        cases = [generate_instance(n, seed=950 + n) for n in (2, 9, 30)]
+        cases += [random_asymmetric_instance(rng, 17), load_entry("had12").instance]
+        for inst in cases:
+            for start in (np.arange(inst.n), rng.permutation(inst.n).astype(np.int64)):
+                args = (inst.flow, inst.distance, start, 10 * inst.n)
+                got, want = K.greedy(*args), greedy_reference(*args)
+                assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], inst.name
 
     def test_tabu_float_drift(self, rng):
         # Costs are running sums of maintained deltas; a refresh bounds drift.
