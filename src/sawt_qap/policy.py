@@ -34,6 +34,7 @@ instance size.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,15 @@ class InstanceBatch:
     @property
     def n(self) -> int:
         return self.flow.shape[1]
+
+    @functools.cached_property
+    def float64_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The instances' float64 flow and distance, each stacked to (B, n, n).
+
+        ``flow``/``dist`` hold the policy's dtype; search costs are float64.
+        """
+        return (np.stack([inst.flow for inst in self.instances]),
+                np.stack([inst.distance for inst in self.instances]))
 
     def solution_aware(self, sigma: np.ndarray) -> np.ndarray:
         """Batched ``M_sigma = F * D[sigma, sigma]`` for sigma of shape (B, n).

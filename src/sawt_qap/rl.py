@@ -24,8 +24,12 @@ are alive at once instead of the whole episode's.  :func:`evaluate` runs the
 same act/step loop with no graph and one encoder pass per step: a new
 incumbent is the assignment the next step encodes as current, so its
 encoding is copied from that pass.  Both batch same-size instances via
-``_batches``.  :func:`train` writes no files: it returns one row per epoch and
-hands each row to an ``on_epoch`` callback, which may log or checkpoint.
+``_batches``.  Transitions are batched too: :func:`step_state` moves every
+row with one vectorized evaluation of ``_kernels.swap_delta``'s expression,
+and :func:`reset_state` costs every row with one sum, each bit-identical to
+the per-row kernel call.  :func:`train` writes no files: it returns one row
+per epoch and hands each row to an ``on_epoch`` callback, which may log or
+checkpoint.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from ._kernels import objective as _objective, swap_delta as _swap_delta
 from .core import check_field_types, check_type, make_rng
 from .errors import NumericalAbortError, ValidationError
 from .policy import InstanceBatch, SawtPolicy
@@ -64,42 +67,58 @@ class SearchState:
     best_sigma: np.ndarray  # (B, n) incumbent assignment
     best_cost: np.ndarray  # (B,) incumbent cost
 
-    def copy(self) -> "SearchState":
-        return SearchState(
-            self.sigma.copy(), self.cost.copy(), self.best_sigma.copy(), self.best_cost.copy()
-        )
-
 
 def reset_state(batch: InstanceBatch) -> SearchState:
     """Fresh search state: every episode starts at the identity assignment.
 
-    The identity is its own incumbent; no random numbers are drawn.
+    The identity is its own incumbent; no random numbers are drawn.  Each
+    row's cost is one sum over its n * n products, as ``objective`` takes it.
     """
     B, n = batch.size, batch.n
+    flow, dist = batch.float64_matrices
     sigma = np.tile(np.arange(n, dtype=np.int64), (B, 1))
-    cost = np.array([_objective(i.flow, i.distance, s) for i, s in zip(batch.instances, sigma)])
+    cost = (flow * dist).reshape(B, n * n).sum(axis=1)
     return SearchState(sigma, cost, sigma.copy(), cost.copy())
+
+
+def _batch_swap_delta(flow, dist, sigma, i, j) -> np.ndarray:
+    """``swap_delta`` of swap (i[b], j[b]) on row b, for every row at once.
+
+    The kernel's expression on (B, n) gathers; each row is summed along the
+    last axis of a C-contiguous array, so every delta has the kernel's bits.
+    """
+    rows = np.arange(len(sigma))
+    b = rows[:, None]
+    si, sj = sigma[rows, i], sigma[rows, j]
+    row_j, row_i = dist[b, sj[:, None], sigma], dist[b, si[:, None], sigma]
+    col_j, col_i = dist[b, sigma, sj[:, None]], dist[b, sigma, si[:, None]]
+    row = (flow[rows, i] - flow[rows, j]) * (row_j - row_i)
+    col = (flow[rows, :, i] - flow[rows, :, j]) * (col_j - col_i)
+    row_sum = row.sum(axis=-1) - row[rows, i] - row[rows, j]
+    col_sum = col.sum(axis=-1) - col[rows, i] - col[rows, j]
+    corner = (flow[rows, i, i] - flow[rows, j, j]) * (dist[rows, sj, sj] - dist[rows, si, si])
+    corner += (flow[rows, i, j] - flow[rows, j, i]) * (dist[rows, sj, si] - dist[rows, si, sj])
+    return row_sum + col_sum + corner
 
 
 def step_state(batch: InstanceBatch, state: SearchState, swaps: np.ndarray) -> tuple[SearchState, np.ndarray]:
     """Apply one swap per element (unconditional accept); returns new state and rewards.
 
     Reward is ``max(0, best_cost - new_cost)``: positive only when the swap
-    produces a new incumbent, by exactly the incumbent's improvement.
+    produces a new incumbent, by exactly the incumbent's improvement.  All
+    rows move at once, each by the bits of its own ``swap_delta`` call.
     """
     swaps = np.asarray(swaps, dtype=np.int64)
-    new = state.copy()
-    rewards = np.zeros(batch.size, dtype=np.float64)
-    for b, inst in enumerate(batch.instances):
-        i, j = int(swaps[b, 0]), int(swaps[b, 1])
-        delta = _swap_delta(inst.flow, inst.distance, new.sigma[b], i, j)
-        new.sigma[b, i], new.sigma[b, j] = new.sigma[b, j], new.sigma[b, i]
-        new.cost[b] += delta
-        if new.cost[b] < new.best_cost[b]:
-            rewards[b] = new.best_cost[b] - new.cost[b]
-            new.best_cost[b] = new.cost[b]
-            new.best_sigma[b] = new.sigma[b]
-    return new, rewards
+    i, j = swaps[:, 0], swaps[:, 1]
+    rows = np.arange(batch.size)
+    cost = state.cost + _batch_swap_delta(*batch.float64_matrices, state.sigma, i, j)
+    sigma = state.sigma.copy()
+    sigma[rows, i], sigma[rows, j] = state.sigma[rows, j], state.sigma[rows, i]
+    improved = cost < state.best_cost
+    rewards = np.where(improved, state.best_cost - cost, 0.0)
+    best_cost = np.where(improved, cost, state.best_cost)
+    best_sigma = np.where(improved[:, None], sigma, state.best_sigma)
+    return SearchState(sigma, cost, best_sigma, best_cost), rewards
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from sawt_qap import nn
 from sawt_qap._kernels import _REFRESH_STEPS, _TIE_RTOL, _cross, _pair_sums
-from sawt_qap._kernels import objective as kernel_objective
+from sawt_qap._kernels import objective as kernel_objective, swap_delta as kernel_swap_delta
 from sawt_qap.core import Assignment, QapInstance, make_rng, objective
 from sawt_qap.errors import NumericalAbortError
 from sawt_qap.nn.tensor import Tensor, _make, _unbroadcast
@@ -458,6 +458,37 @@ def tabu_reference(flow, distance, sigma, max_steps, tenure):
         cross += np.outer(flow[:, i] - flow[:, j], perm_d[:, i] - perm_d[:, j])
         cross += np.outer(flow[i] - flow[j], perm_d[i] - perm_d[j])
     return best, best_cost, current, current_cost, history
+
+
+# ---------------------------------------------------------------------------
+# Per-row references for the batched transitions ``sawt_qap.rl.reset_state``
+# and ``step_state``: one kernel call per row, which the batched versions
+# must match to the bit.
+# ---------------------------------------------------------------------------
+
+
+def reset_state_loop(batch: InstanceBatch) -> SearchState:
+    B, n = batch.size, batch.n
+    sigma = np.tile(np.arange(n, dtype=np.int64), (B, 1))
+    cost = np.array([kernel_objective(i.flow, i.distance, s) for i, s in zip(batch.instances, sigma)])
+    return SearchState(sigma, cost, sigma.copy(), cost.copy())
+
+
+def step_state_loop(batch: InstanceBatch, state: SearchState, swaps: np.ndarray):
+    swaps = np.asarray(swaps, dtype=np.int64)
+    new = SearchState(state.sigma.copy(), state.cost.copy(),
+                      state.best_sigma.copy(), state.best_cost.copy())
+    rewards = np.zeros(batch.size, dtype=np.float64)
+    for b, inst in enumerate(batch.instances):
+        i, j = int(swaps[b, 0]), int(swaps[b, 1])
+        delta = kernel_swap_delta(inst.flow, inst.distance, new.sigma[b], i, j)
+        new.sigma[b, i], new.sigma[b, j] = new.sigma[b, j], new.sigma[b, i]
+        new.cost[b] += delta
+        if new.cost[b] < new.best_cost[b]:
+            rewards[b] = new.best_cost[b] - new.cost[b]
+            new.best_cost[b] = new.cost[b]
+            new.best_sigma[b] = new.sigma[b]
+    return new, rewards
 
 
 # ---------------------------------------------------------------------------

@@ -219,31 +219,64 @@ def test_fd_composite_attention_like(rng):
 # ---------------------------------------------------------------------------
 
 
-def _fused_cases(rng, dtype):
+def _fused_cases(rng, dtype, b=2, n=5, d=8, n_heads=2):
     def t(*shape):
         return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
 
-    mix = (np.abs(rng.standard_normal((2, 5, 5))) + 0.1).astype(dtype)
+    mix = (np.abs(rng.standard_normal((b, n, n))) + 0.1).astype(dtype)
+    scale = 1.0 / np.sqrt(d // n_heads)
     return [
-        ("linear", linear, linear_composite, (t(2, 5, 6), t(6, 4), t(4))),
-        ("linear 2-D, no bias", linear, linear_composite, (t(3, 6), t(6, 4))),
-        ("layer_norm", layer_norm, layer_norm_composite, (t(2, 5, 8), t(8), t(8))),
+        ("linear", linear, linear_composite, (t(b, n, d), t(d, 4), t(4))),
+        ("linear 2-D, no bias", linear, linear_composite, (t(3, d), t(d, 4))),
+        ("layer_norm", layer_norm, layer_norm_composite, (t(b, n, d), t(d), t(d))),
         (
             "mixed_attention",
-            lambda q, k, v: mixed_attention(q, k, v, mix, 1.0 / np.sqrt(4.0), 2),
-            lambda q, k, v: mixed_attention_composite(q, k, v, mix, 1.0 / np.sqrt(4.0), 2),
-            (t(2, 5, 8), t(2, 5, 8), t(2, 5, 8)),
+            lambda q, k, v: mixed_attention(q, k, v, mix, scale, n_heads),
+            lambda q, k, v: mixed_attention_composite(q, k, v, mix, scale, n_heads),
+            (t(b, n, d), t(b, n, d), t(b, n, d)),
         ),
     ]
 
 
+# (B, n) of the encoder passes that run: the train benchmark (B=32) and
+# test_07's updates (B=16) and eval (B=64) at n=6, and sawt-solve's two size
+# buckets; each at the default width d=64 with 8 heads.
+_RUN_SHAPES = [(16, 6), (32, 6), (64, 6), (16, 20), (4, 50)]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_forward_bit_identical_to_composite(rng, dtype):
-    for name, fused, oracle, inputs in _fused_cases(rng, dtype):
-        got, want = fused(*inputs), oracle(*inputs)
-        assert got._parents == inputs, f"{name} is not one graph node"
-        assert got.dtype == want.dtype == dtype, name
-        np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+    # The fused forwards write their temporaries in place: also check that
+    # no input is written.
+    for shape in [(2, 5, 8, 2)] + [(b, n, 64, 8) for b, n in _RUN_SHAPES]:
+        for name, fused, oracle, inputs in _fused_cases(rng, dtype, *shape):
+            name = f"{name} at (B, n, d, heads) = {shape}"
+            before = [x.data.copy() for x in inputs]
+            got, want = fused(*inputs), oracle(*inputs)
+            assert got._parents == inputs, f"{name} is not one graph node"
+            assert got.dtype == want.dtype == dtype, name
+            np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+            for x, old in zip(inputs, before):
+                np.testing.assert_array_equal(x.data, old, err_msg=f"{name} wrote an input")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_bits_match_where(rng, dtype):
+    # relu is fmax-based; its oracle is the np.where expression it replaced.
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny,
+                        np.finfo(dtype).tiny, -np.finfo(dtype).tiny, 1.0, -1.0], dtype=dtype)
+    dense = rng.standard_normal((16, 20, 256)).astype(dtype)
+    dense.flat[::7] = -0.0  # specials inside the vector loops too
+    dense.flat[3::11] = np.nan
+    for a in (special, dense):
+        want = np.where(a > 0, a, 0.0)
+        out = relu(Tensor(a, requires_grad=True))
+        assert out.dtype == want.dtype == dtype
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(np.signbit(out.data), np.signbit(want))
+        out.backward(seed=np.ones_like(a))
+        assert np.array_equal(out._parents[0].grad, (a > 0).astype(dtype))
 
 
 def test_fused_gradients_match_composite(rng):

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import compute_returns, random_start_state, whole_graph_update
+from helpers import (
+    compute_returns, random_asymmetric_instance, random_integer_instance, random_start_state,
+    reset_state_loop, step_state_loop, whole_graph_update,
+)
 from sawt_qap import generate_instance, nn, objective, rl
 from sawt_qap.core import make_rng
 from sawt_qap.errors import NumericalAbortError, ValidationError
 from sawt_qap.nn import Adam
-from sawt_qap.policy import SawtConfig, SawtPolicy
+from sawt_qap.policy import InstanceBatch, SawtConfig, SawtPolicy
 from sawt_qap.rl import (
     TrainConfig,
     evaluate,
@@ -95,6 +98,45 @@ def test_best_cost_monotone(batch, rng):
         state, _ = step_state(batch, state, swaps)
         assert np.all(state.best_cost <= prev + 1e-12)
         prev = state.best_cost.copy()
+
+
+def _search_batch(instances):
+    """An ``InstanceBatch`` with no embeddings: the transitions read no encoder."""
+    flow = np.stack([inst.flow for inst in instances]).astype(np.float32)
+    dist = np.stack([inst.distance for inst in instances]).astype(np.float32)
+    return InstanceBatch(instances, flow, dist, None, None)
+
+
+def _same_state(got, want) -> bool:
+    return all(np.array_equal(getattr(got, f.name), getattr(want, f.name))
+               for f in dataclasses.fields(rl.SearchState))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 20, 50, 128])
+def test_batched_transitions_match_per_row_kernel(n):
+    # Sizes on both sides of numpy's pairwise-summation block edges (8, 16,
+    # 128); the integer rows have many ties between cost and incumbent.
+    rng = np.random.default_rng(n)
+    kinds = {
+        "generated": [generate_instance(n, p=0.7, seed=3000 + n + k) for k in range(5)],
+        "asymmetric": [random_asymmetric_instance(rng, n, scale=1e3) for _ in range(5)],
+        "integer": [random_integer_instance(rng, n, high=2, symmetric=k % 2 == 0)
+                    for k in range(5)],
+    }
+    for kind, instances in kinds.items():
+        batch = _search_batch(instances)
+        starts = [  # the identity, then random assignments (each its own incumbent)
+            (reset_state(batch), reset_state_loop(batch)),
+            (random_start_state(batch, make_rng(n)), random_start_state(batch, make_rng(n))),
+        ]
+        for start, (got, want) in enumerate(starts):
+            assert _same_state(got, want), (kind, start)
+            for step in range(60):
+                swaps = np.stack([rng.choice(n, size=2, replace=False) for _ in range(5)])
+                got, got_rewards = step_state(batch, got, swaps)
+                want, want_rewards = step_state_loop(batch, want, swaps)
+                assert _same_state(got, want), (kind, start, step)
+                assert np.array_equal(got_rewards, want_rewards), (kind, start, step)
 
 
 # ---------------------------------------------------------------------------
